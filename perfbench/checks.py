@@ -96,7 +96,9 @@ def reference_pressure(doc, base, L):
 # ---------------------------------------------------------------- force rows
 
 def check_force(op, rows):
-    """Per-row pass flags and messages for one ``casimir run`` output."""
+    """Per-row pass flags and messages for one ``casimir run`` output.
+    That |P| decreases along the sweep is checked with ``not_decreasing``,
+    over every operation the sweep is split into."""
     doc, base = op.doc, Path(op.config).parent
     path = doc.get("path", "imaginary-axis")
     Ls = separations(doc.get("sweep", {}))
@@ -105,7 +107,6 @@ def check_force(op, rows):
     ok, notes = [], []
     rtol = float(doc.get("quadrature", {}).get("rtol", 1e-9))
     tol = max(rtol, REAL_AXIS_FLOOR) if path == "real-axis" else rtol
-    pressures = []
     for row, L in zip(rows, Ls):
         good = row["path"] == path and math.isclose(float(row["L_m"]), L, rel_tol=1e-12)
         if op.expect_exit != 0:
@@ -115,7 +116,6 @@ def check_force(op, rows):
                 notes.append(f"{op.name} L={L:.4g}: status {row['status']!r}")
             continue
         P = float(row["pressure_Pa"])
-        pressures.append(P)
         good = good and row["status"] == "ok" and math.isfinite(P)
         if good:
             P_ref = reference_pressure(doc, base, L)
@@ -131,13 +131,14 @@ def check_force(op, rows):
                 good = False
                 notes.append(f"{op.name} L={L:.4g}: eta = {eta} outside (0, 1)")
         ok.append(good)
-    if op.expect_exit == 0 and len(pressures) > 1:
-        mags = [abs(p) for p in pressures]
-        for i in range(len(mags) - 1):
-            if not mags[i] > mags[i + 1]:
-                ok[i] = ok[i + 1] = False
-                notes.append(f"{op.name}: |P| not strictly decreasing at L={Ls[i + 1]:.4g}")
     return ok, notes
+
+
+def not_decreasing(points):
+    """Pairs of neighbouring points, in order of L, at which |P| does not
+    strictly decrease; ``points`` are (L, P, key) for one sweep."""
+    points = sorted(points, key=lambda p: p[0])
+    return [(a, b) for a, b in zip(points, points[1:]) if not abs(a[1]) > abs(b[1])]
 
 
 def _within_sampling(op, base, L, P, notes):

@@ -13,6 +13,11 @@ process imports casimir from ``src/``.  The steps are
    alternates untraced and traced rounds);
 4. every output row is checked against the references and properties.
 
+Times are reported in seconds at a reference host speed: each measured time
+is scaled by ``REF_CAL_S`` over the time of a fixed calibration loop run in
+the same process alongside it (``worker.calibrate``), because the speed of
+a core on a shared host drifts by a third over minutes.
+
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; ``--trace 0`` reports the
 end-to-end metrics, ``--trace 1`` the per-layer ones.  See README.md.
@@ -37,7 +42,11 @@ import checks  # noqa: E402
 import references  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
+# the reference speed: a time measured while worker.calibrate took this
+# long is reported as measured.  The loop took 21-39 ms on the 2-vCPU Xeon
+# VM of the README's figures (Python 3.11, numpy 2.4).
+REF_CAL_S = 0.030
 WORKER_TIMEOUT_S = 150.0
 _THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMBA_NUM_THREADS")
@@ -94,8 +103,9 @@ _UNITS = {"calls": "count", "points_per_call": "points", "self_s": "s",
 FORCE_FUNCTIONS = ("force.force_imag_axis", "force.lifshitz_force", "force.force_real_axis")
 
 
-def layer_metrics(trace, round_wall_s, neval, overhead_s):
-    """Per-round averages over the traced rounds."""
+def layer_metrics(trace, round_wall_s, scale, neval, overhead_s):
+    """Per-round averages over the traced rounds; ``scale`` turns the traced
+    rounds' seconds into seconds at the reference speed."""
     rounds = trace["rounds"]
     n = len(rounds)
     merged = {}
@@ -112,16 +122,17 @@ def layer_metrics(trace, round_wall_s, neval, overhead_s):
             absent.append(fn)
             st = {"calls": 0, "points": 0.0, "total_s": 0.0, "self_s": 0.0}
         calls = st["calls"] / n
+        self_s = st["self_s"] * scale / n
         values = {"calls": calls,
                   "points_per_call": st["points"] / st["calls"] if st["calls"] else 0.0,
-                  "self_s": st["self_s"] / n,
-                  "self_share": st["self_s"] / n / round_wall_s,
-                  "total_share": st["total_s"] / n / round_wall_s}
+                  "self_s": self_s,
+                  "self_share": self_s / round_wall_s,
+                  "total_share": st["total_s"] * scale / n / round_wall_s}
         for stat in stats:
             metrics[f"{fn}.{stat}"] = _metric(values[stat], _UNITS[stat])
     for module in MODULE_SELF:
         own = sum(st["self_s"] for fn, st in merged.items() if fn.startswith(module + "."))
-        metrics[f"{module}.self_s"] = _metric(own / n, "s")
+        metrics[f"{module}.self_s"] = _metric(own * scale / n, "s")
     kernel_self = sum(st["self_s"] for fn, st in merged.items() if fn.startswith("kernels."))
     force_total = sum(merged.get(fn, {}).get("total_s", 0.0) for fn in FORCE_FUNCTIONS)
     metrics["kernels.share"] = _metric(kernel_self / force_total if force_total else 0.0, "ratio")
@@ -140,18 +151,31 @@ def tally(ops, result, workdir):
     right, and a note per problem found."""
     rounds = result["rounds"]
     failed, correct, notes = 0, True, []
+    row_ok, sweeps = [], {}
     for j, op in enumerate(ops):
         first = workdir / f"{op.name}.round0.csv"
         if not first.exists():
-            row_ok, row_notes = [False] * op.rows, [f"{op.name}: no output"]
+            ok, row_notes = [False] * op.rows, [f"{op.name}: no output"]
         elif op.command == "dos":
             passed, row_notes = checks.check_dos(op, checks.read_rows(first),
                                                  result["dos_identity"][op.name])
-            row_ok = [passed]
+            ok = [passed]
         else:
-            row_ok, row_notes = checks.check_force(op, checks.read_rows(first))
+            rows = checks.read_rows(first)
+            ok, row_notes = checks.check_force(op, rows)
+            if op.expect_exit == 0 and len(rows) == len(ok):
+                sweeps.setdefault(op.sweep, []).extend(
+                    (float(row["L_m"]), float(row["pressure_Pa"]), (j, k))
+                    for k, row in enumerate(rows))
+        row_ok.append(ok)
         notes += row_notes
-        if not all(row_ok) and rounds[0]["ops"][j]["exit"] == op.expect_exit:
+    for sweep, points in sweeps.items():
+        for a, b in checks.not_decreasing(points):
+            for j, k in (a[2], b[2]):
+                row_ok[j][k] = False
+            notes.append(f"{sweep}: |P| not strictly decreasing at L={b[0]:.4g}")
+    for j, op in enumerate(ops):
+        if not all(row_ok[j]) and rounds[0]["ops"][j]["exit"] == op.expect_exit:
             correct = False  # the program reported success on a wrong answer
         digest = rounds[0]["ops"][j]["sha256"]
         for r in rounds:
@@ -163,14 +187,30 @@ def tally(ops, result, workdir):
                 failed += op.rows
                 notes.append(f"{op.name}: output differs from the first round")
             else:
-                failed += row_ok.count(False)
+                failed += row_ok[j].count(False)
     attempted = len(rounds) * sum(op.rows for op in ops)
     return attempted, failed, correct, notes
 
 
+def speed_scale(rounds):
+    """REF_CAL_S over the mean calibration time taken in these rounds: the
+    factor that turns their measured seconds into seconds at the reference
+    speed."""
+    return REF_CAL_S / statistics.fmean(op["cal_s"] for r in rounds for op in r["ops"])
+
+
+def raw_wall(rounds):
+    """Mean over the rounds of the measured time to run all of the
+    workload's configs."""
+    return statistics.fmean(sum(op["seconds"] for op in r["ops"]) for r in rounds)
+
+
 def wall(rounds):
-    """Median over the rounds of the time to run all of the workload's configs."""
-    return statistics.median(sum(op["seconds"] for op in r["ops"]) for r in rounds)
+    """``raw_wall`` in seconds at the reference speed.  The mean over the
+    whole run, with the calibration's mean over the same span: the host's
+    speed swings within seconds, and only averages over the same stretch of
+    time track each other."""
+    return raw_wall(rounds) * speed_scale(rounds)
 
 
 def total_evals(ops, workdir):
@@ -203,7 +243,7 @@ def main(argv=None):
     ops = WORKLOADS[args.workload](root, workdir, args.seed)
     spec = {"src": str(src), "workdir": str(workdir), "seconds": args.seconds,
             "trace": bool(args.trace), "ops": [op.spec() for op in ops]}
-    setup = [_child("setup", spec, workdir, f"setup{i}")[0]["setup_s"]
+    setup = [_child("setup", spec, workdir, f"setup{i}")[0]
              for i in range(0 if args.trace else SETUP_REPEATS)]
     result, worker_log = _child("run", spec, workdir, "run")
 
@@ -217,14 +257,17 @@ def main(argv=None):
     traced = [r for r in rounds if r["traced"]]
     print(f"{args.workload}: seed {args.seed}, {len(rounds)} rounds ({len(traced)} traced), "
           f"{attempted} operations, {failed} failed, {time.perf_counter() - t0:.1f} s in all")
+    print(f"  measured: round {raw_wall(plain):.4g} s, calibration loop "
+          f"{REF_CAL_S / speed_scale(plain) * 1e3:.4g} ms (reference {REF_CAL_S * 1e3:.4g} ms)")
     if args.trace:
-        metrics, absent = layer_metrics(result["trace"], wall(traced), total_evals(ops, workdir),
-                                        wall(traced) - wall(plain))
+        metrics, absent = layer_metrics(result["trace"], wall(traced), speed_scale(traced),
+                                        total_evals(ops, workdir), wall(traced) - wall(plain))
         (workdir / "trace.json").write_text(json.dumps(result["trace"], indent=1))
         for name in absent:
             print(f"trace: {name} is absent from the program")
     else:
-        metrics = {"setup_s": _metric(statistics.median(setup), "s"),
+        metrics = {"setup_s": _metric(statistics.median(
+                       s["setup_s"] * REF_CAL_S / s["cal_s"] for s in setup), "s"),
                    "wall_s": _metric(wall(plain), "s"),
                    "peak_rss_mb": _metric(result["peak_rss_mb"], "MB")}
     for name, m in metrics.items():

@@ -9,6 +9,10 @@ the result.  ``run`` repeats whole rounds of every operation through
 every output can be byte-compared with a repeat).  With tracing on,
 rounds alternate untraced and traced, so that one process gives both the
 per-layer figures and the tracing overhead.
+
+Both modes also time a fixed calibration loop (``calibrate``): ``setup``
+after its timed span, ``run`` before every operation.  The parent scales
+every time by it, so that the figures do not follow the host's speed.
 """
 
 from __future__ import annotations
@@ -37,11 +41,39 @@ def _import_casimir(src):
     return casimir
 
 
+CAL_LOOPS = 3000
+CAL_WARMUP = 200
+CAL_SETUP_REPEATS = 5
+
+
+def calibrate():
+    """Seconds for a fixed loop of the work the program spends its time on:
+    numpy arithmetic on 25-point arrays and interpreter-bound Python.  It
+    does not touch casimir, so a change to the program cannot move it; only
+    the host's speed can."""
+    import numpy as np
+    x = np.linspace(0.1, 3.0, 25)
+
+    def loop(n):
+        for _ in range(n):
+            y = np.exp(-x) * x / (1.0 - 0.5 * np.exp(-2.0 * x))
+            s = float(y.sum())
+            for k in range(20):
+                s += k * 0.5
+
+    loop(CAL_WARMUP)  # so that what ran before does not count
+    t0 = time.perf_counter()
+    loop(CAL_LOOPS)
+    return time.perf_counter() - t0
+
+
 def setup(spec):
     casimir = _import_casimir(spec["src"])
     for op in spec["ops"]:
         casimir.cli.parse_config(op["config"])
-    return {"setup_s": time.perf_counter() - T_START}
+    setup_s = time.perf_counter() - T_START
+    cal = [calibrate() for _ in range(CAL_SETUP_REPEATS)]
+    return {"setup_s": setup_s, "cal_s": sum(cal) / len(cal)}
 
 
 def _invoke(casimir, argv):
@@ -84,10 +116,11 @@ def run(spec):
         try:
             for op in spec["ops"]:
                 out = workdir / f"{op['name']}.round{n}.csv"
+                cal_s = calibrate()
                 t0 = time.perf_counter()
                 code = _invoke(casimir, [op["command"], op["config"], "--out", str(out)])
                 results.append({"exit": code, "seconds": time.perf_counter() - t0,
-                                "sha256": _digest(out)})
+                                "cal_s": cal_s, "sha256": _digest(out)})
                 if n > 0 and out.exists():
                     out.unlink()
         finally:

@@ -8,6 +8,11 @@ directory as JSON, which the CLI's YAML reader accepts.
 
 Seeds move the generated inputs by a few per cent only, so that every seed
 asks for about the same amount of work and run-to-run spread stays small.
+
+A generated sweep that takes more than a second runs as one config per
+separation (``_split``): the benchmark times the host's speed between
+invocations, and a long invocation leaves a long stretch unsampled.  The
+points of a split sweep are checked together as one sweep.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import random
 from pathlib import Path
 
 import yaml
+
+from checks import separations
 
 # Drude parameters that data/gold_drude.dat samples (see its header).
 GOLD_DRUDE = (1.37e16, 5.3e13)
@@ -33,8 +40,10 @@ def _jitter(rng, value, frac):
 class Op:
     """One CLI invocation; ``doc`` is the parsed config the checker reads."""
 
-    def __init__(self, name, command, config, doc, expect_exit=0, sampled_drude=None):
+    def __init__(self, name, command, config, doc, expect_exit=0, sampled_drude=None,
+                 sweep=None):
         self.name = name
+        self.sweep = sweep or name  # the sweep this invocation's rows belong to
         self.command = command
         self.config = str(config)
         self.doc = doc
@@ -62,6 +71,14 @@ def _generated(workdir, name, doc, command="run", **kw):
     path = Path(workdir) / f"{name}.yaml"
     path.write_text(json.dumps(doc, indent=1) + "\n")
     return Op(name, command, path, doc, **kw)
+
+
+def _split(workdir, name, doc, **kw):
+    """One invocation per separation of ``doc``'s sweep, at the separations
+    the CLI would compute for the whole sweep."""
+    return [_generated(workdir, f"{name}.{i}", dict(doc, sweep={"min": float(L), "points": 1}),
+                       sweep=name, **kw)
+            for i, L in enumerate(separations(doc["sweep"]))]
 
 
 def imag_sweep(root, workdir, seed):
@@ -97,10 +114,10 @@ def imag_sweep(root, workdir, seed):
     del tab["output"]
     return [_shipped(root, "mirror_sweep"),
             _shipped(root, "drude_sweep"),
-            _generated(workdir, "drude_lifshitz", lif),
-            _generated(workdir, "film_on_substrate", multi),
+            *_split(workdir, "drude_lifshitz", lif),
+            *_split(workdir, "film_on_substrate", multi),
             _generated(workdir, "constant_pair", const),
-            _generated(workdir, "tabulated_gold_ends", tab, sampled_drude=GOLD_DRUDE)]
+            *_split(workdir, "tabulated_gold_ends", tab, sampled_drude=GOLD_DRUDE)]
 
 
 def real_freq(root, workdir, seed):
@@ -127,7 +144,7 @@ def real_freq(root, workdir, seed):
     free = {"slab1": {"type": "constant", "rs": 0.0, "rp": 0.0},
             "slab2": {"type": "constant", "rs": 0.0, "rp": 0.0},
             "dos": {"L": L, "Q": _jitter(rng, 1e6, 0.1), "points": 200}}
-    return [_generated(workdir, "real_axis_drude", contour),
+    return [*_split(workdir, "real_axis_drude", contour),
             _generated(workdir, "real_axis_constant", constant, expect_exit=3),
             _shipped(root, "dos_cavity", command="dos"),
             _generated(workdir, "dos_mirror_cavity", cavity, command="dos"),
