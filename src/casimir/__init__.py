@@ -10,7 +10,6 @@ from .dielectric import (
     Plasma,
     Tabulated,
     Vacuum,
-    eval_permittivity,
     load_optical_table,
     permittivity_from_table,
 )

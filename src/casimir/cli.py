@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .dielectric import (
     Vacuum,
     load_optical_table,
 )
-from .errors import CasimirError, ConfigError, ConvergenceError, OpticalTableError
+from .errors import CasimirError, ConfigError, OpticalTableError
 from .force import force_imag_axis, force_real_axis, lifshitz_force
 from .quadrature import QuadratureConfig
 from .reflection import (
@@ -319,7 +319,7 @@ def run_sweep(cfg: RunConfig):
                 rows.append({"L_m": float(L), "pressure_Pa": res.pressure,
                              "err_Pa": res.error, "eta_red": res.reduction,
                              "path": path_tag, "evals": res.neval, "status": status})
-            except (ConvergenceError, CasimirError) as exc:
+            except CasimirError as exc:
                 rows.append({"L_m": float(L), "pressure_Pa": float("nan"),
                              "err_Pa": float("nan"), "eta_red": float("nan"),
                              "path": path_tag, "evals": 0,
@@ -417,11 +417,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if getattr(args, "tol", None) is not None:
             try:
-                qcfg = QuadratureConfig(rtol=args.tol, atol=cfg.quadrature.atol,
-                                        max_subdivisions=cfg.quadrature.max_subdivisions)
+                qcfg = replace(cfg.quadrature, rtol=args.tol)
             except ValueError as exc:
                 raise ConfigError(f"--tol: {exc}") from exc
-            cfg = RunConfig(**{**cfg.__dict__, "quadrature": qcfg})
+            cfg = replace(cfg, quadrature=qcfg)
         fmt = args.fmt or cfg.out_format
         out_path = args.out or cfg.out_path
         if out_path is None:
@@ -433,7 +432,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"casimir: config error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, CasimirError) as exc:
+    except CasimirError as exc:
         print(f"casimir: {exc}", file=sys.stderr)
         return 3
     write_table(rows, fmt, out_path)

@@ -50,10 +50,6 @@ class DielectricModel:
             raise FrequencyDomainError("xi must be > 0 on the imaginary axis")
         return np.real(self.eval(1j * xi))
 
-    @property
-    def supports_real_axis(self):
-        return True
-
 
 @dataclass(frozen=True)
 class Vacuum(DielectricModel):
@@ -221,9 +217,10 @@ def permittivity_from_table(table: OpticalTable, xi: float) -> float:
     """Continue tabulated absorption data to the imaginary axis.
 
     Evaluates eps(i xi) = 1 + (2/pi) * Int_0^inf w Im eps(w) / (w^2 + xi^2) dw
-    with the tabulated data interpolated on its grid, a Drude-type tail
-    A/(w (w^2 + B^2)) fitted to the two lowest grid points below the grid,
-    and a 1/w^3 tail above it.
+    with the tabulated data interpolated on its grid, a 1/w^3 tail above it
+    and, below it, a Drude-type tail A/(w (w^2 + B^2)) fitted to the two
+    lowest grid points when w Im eps falls there, else the insulator tail
+    Im eps = y0 w / w0 that goes linearly to zero from the first point.
     """
     if not np.isreal(xi) or xi <= 0.0:
         raise FrequencyDomainError(f"xi must be real > 0, got {xi}")
@@ -238,19 +235,21 @@ def permittivity_from_table(table: OpticalTable, xi: float) -> float:
 
     main, _ = fixed_panels(gridded, w)
 
-    # low tail: Im eps = A / (om (om^2 + B^2)), exact for Drude data
+    # low tail: Im eps = A / (om (om^2 + B^2)), exact for Drude data; with
+    # B^2 <= 0 it would not be integrable at 0, so fall back to Im eps
+    # linear in om, whose integral is closed-form
     y1w1, y2w2 = y[0] * w[0], y[1] * w[1]
     low = 0.0
-    if y1w1 > 0.0:
-        if y2w2 > 0.0 and y1w1 > y2w2:
-            ratio = y1w1 / y2w2
-            b2 = (w[1] ** 2 - ratio * w[0] ** 2) / (ratio - 1.0)
-            b2 = max(b2, 0.0)
-        else:
-            b2 = 0.0
+    b2 = 0.0
+    if y2w2 > 0.0 and y1w1 > y2w2:
+        ratio = y1w1 / y2w2
+        b2 = (w[1] ** 2 - ratio * w[0] ** 2) / (ratio - 1.0)
+    if b2 > 0.0:
         amp = y1w1 * (w[0] ** 2 + b2)
         low, _ = integrate(lambda om: amp / ((om * om + b2) * (om * om + xi * xi)),
                            0.0, w[0], _KK_CFG)
+    elif y1w1 > 0.0:
+        low = (y[0] / w[0]) * (w[0] - xi * np.arctan(w[0] / xi))
 
     # high tail: Im eps = C / om^3
     high = 0.0
@@ -294,12 +293,3 @@ class Tabulated(DielectricModel):
         vals = np.array([permittivity_from_table(self.table, x)
                          for x in np.atleast_1d(xi_arr)])
         return vals.reshape(xi_arr.shape) if xi_arr.ndim else float(vals[0])
-
-    @property
-    def supports_real_axis(self):
-        return self.table.re_eps is not None
-
-
-def eval_permittivity(model: DielectricModel, freq):
-    """Permittivity of ``model`` at complex frequency ``freq`` (rad/s)."""
-    return model.eval(freq)

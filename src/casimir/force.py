@@ -61,6 +61,17 @@ def reduction_factor(result: ForceResult, L: float) -> float:
     return result.pressure / ideal_casimir_pressure(L)
 
 
+def _result(pressure, error, L, cfg, converged, neval, path):
+    """Final ForceResult, with plain-float fields; an error estimate above
+    ten times the requested relative tolerance marks it non-converged."""
+    if pressure != 0.0 and error > abs(pressure) * cfg.rtol * 10.0:
+        converged = False
+    pressure, error = float(pressure), float(error)
+    return ForceResult(pressure=pressure, error=error,
+                       reduction=pressure / ideal_casimir_pressure(L),
+                       neval=neval, path=path, converged=converged)
+
+
 def _check_passive(prod, what):
     m = float(np.max(np.abs(prod))) if np.size(prod) else 0.0
     if m > 1.0 + _PASSIVITY_SLACK:
@@ -144,13 +155,7 @@ def force_imag_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
 
     val, err, ok = _double_integral(inner, cfg)
     pref = HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4)
-    pressure = -pref * val
-    error = pref * err
-    if error > abs(pressure) * cfg.rtol * 10.0 and pressure != 0.0:
-        ok = False
-    res = ForceResult(pressure=pressure, error=error, reduction=0.0,
-                      neval=neval[0], path="imaginary-axis", converged=ok)
-    return replace(res, reduction=reduction_factor(res, L))
+    return _result(-pref * val, pref * err, L, cfg, ok, neval[0], "imaginary-axis")
 
 
 def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
@@ -193,13 +198,7 @@ def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
     val, err, ok = _double_integral(outer, cfg)
     pref = HBAR / (2.0 * math.pi ** 2 * C_LIGHT ** 3)
     # the xi-integral carries dimensions rad^4/s^4; val is already in SI
-    pressure = -pref * val
-    error = pref * err
-    if error > abs(pressure) * cfg.rtol * 10.0 and pressure != 0.0:
-        ok = False
-    res = ForceResult(pressure=pressure, error=error, reduction=0.0,
-                      neval=neval[0], path="lifshitz", converged=ok)
-    return replace(res, reduction=reduction_factor(res, L))
+    return _result(-pref * val, pref * err, L, cfg, ok, neval[0], "lifshitz")
 
 
 def _round_trips(r1, r2, kin, phase):
@@ -384,10 +383,5 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     err = float(sum(p[3] for p in panels))
 
     pref = HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4)
-    pressure = pref * val
-    error = pref * (err + inner_rel[0] * abs(val))
-    if pressure != 0.0 and error > abs(pressure) * cfg.rtol * 10.0:
-        converged[0] = False
-    res = ForceResult(pressure=pressure, error=error, reduction=0.0,
-                      neval=neval[0], path="real-axis", converged=converged[0])
-    return replace(res, reduction=reduction_factor(res, L))
+    return _result(pref * val, pref * (err + inner_rel[0] * abs(val)), L, cfg,
+                   converged[0], neval[0], "real-axis")

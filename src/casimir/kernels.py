@@ -1,48 +1,21 @@
 """Hot numeric kernels for the pressure and permittivity integrands.
 
-Every function here is compiled with numba's ``@njit`` when numba is
-importable.  Setting the environment variable ``CASIMIR_PURE_NUMPY=1``
-before import selects the pure-numpy fallback path (identical source,
-no JIT), which is also what runs when numba is absent.  The benchmark in
-``benchmarks/bench_kernels.py`` compares both paths.
-
-All kernels work on float64 scalars or arrays; nothing here touches
-complex numbers (the imaginary-axis quantities they evaluate are real).
+Plain numpy expressions on float64 scalars or arrays; nothing here
+touches complex numbers (the imaginary-axis quantities they evaluate are
+real).
 """
-
-import os
 
 import numpy as np
 
-PURE_NUMPY = os.environ.get("CASIMIR_PURE_NUMPY", "0").lower() in ("1", "true", "yes")
 
-NUMBA_ENABLED = False
-if not PURE_NUMPY:
-    try:
-        from numba import njit as _njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if NUMBA_ENABLED:
-    def _jit(func):
-        return _njit(cache=True)(func)
-else:
-    def _jit(func):
-        return func
-
-
-@_jit
 def plasma_eps_iw(xi, omega_p):
     return 1.0 + (omega_p / xi) ** 2
 
 
-@_jit
 def drude_eps_iw(xi, omega_p, gamma):
     return 1.0 + omega_p * omega_p / (xi * (xi + gamma))
 
 
-@_jit
 def fresnel_rs_rp_iw(eps, xi_over_c, Q):
     """Fresnel amplitudes on the imaginary frequency axis.
 
@@ -57,19 +30,6 @@ def fresnel_rs_rp_iw(eps, xi_over_c, Q):
     return rs, rp
 
 
-@_jit
-def exchange_term(prod, w):
-    """Round-trip factor prod*e^{-2w} / (1 - prod*e^{-2w}).
-
-    ``prod`` is the product of the two reflection amplitudes at imaginary
-    frequency and ``w`` the (dimensionless) decay exponent kappa*L.
-    Well-behaved for prod == 1 as long as w > 0.
-    """
-    g = prod * np.exp(-2.0 * w)
-    return g / (1.0 - g)
-
-
-@_jit
 def force_integrand_iw(u, v, prod_s, prod_p):
     """Imaginary-axis pressure integrand, nondimensionalized by the gap L.
 
@@ -82,7 +42,6 @@ def force_integrand_iw(u, v, prod_s, prod_p):
     return v * w * (gs / (1.0 - gs) + gp / (1.0 - gp))
 
 
-@_jit
 def lifshitz_inner(xi, p, e1, e2, e3, L_over_c):
     """Inner (xi) integrand of the semi-infinite-slab pressure formula.
 
@@ -101,9 +60,3 @@ def lifshitz_inner(xi, p, e1, e2, e3, L_over_c):
     g1 = b1p * b2p * ex
     g2 = b1s * b2s * ex
     return xi ** 3 * e3 ** 1.5 * (g1 / (1.0 - g1) + g2 / (1.0 - g2))
-
-
-def python_impl(func):
-    """Return the uncompiled twin of a kernel (the function itself when
-    running in pure-numpy mode)."""
-    return getattr(func, "py_func", func)

@@ -1,7 +1,7 @@
 """Adaptive 1D quadrature with embedded-rule error estimates.
 
 A Gauss-Kronrod 7/15 pair drives an interval-bisection loop.  Semi-infinite
-domains are mapped to (0, 1) by a rational or exponential substitution.
+domains are mapped to (0, 1) by the rational substitution x = a + s u/(1-u).
 Integrands must be vectorized (``f(ndarray) -> ndarray``) and pure; for a
 fixed configuration the result is bit-reproducible.
 """
@@ -46,7 +46,6 @@ class QuadratureConfig:
     rtol: float = 1e-9
     atol: float = 0.0
     max_subdivisions: int = 2000
-    transform: str = "rational"        # semi-infinite map: rational | exponential
     tail_check: str = "sample-decay"   # divergence guard: sample-decay | none
 
     def __post_init__(self):
@@ -54,8 +53,6 @@ class QuadratureConfig:
             raise ValueError(f"rtol must lie in (1e-14, 1e-2), got {self.rtol}")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
-        if self.transform not in ("rational", "exponential"):
-            raise ValueError(f"unknown transform {self.transform!r}")
         if self.tail_check not in ("sample-decay", "none"):
             raise ValueError(f"unknown tail_check {self.tail_check!r}")
 
@@ -131,7 +128,7 @@ def _ordered_sum(heap, idx):
 
 
 def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
-    """Integrate ``f`` over [a, inf) after a variable substitution.
+    """Integrate ``f`` over [a, inf) mapped to (0, 1) by x = a + scale u/(1-u).
 
     ``scale`` sets the decay length the substitution resolves.  Returns
     ``(value, error_estimate)``.  A non-decaying integrand is reported as
@@ -152,16 +149,10 @@ def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
     # omu underflows to zero when subdivision pushes nodes against u = 1;
     # the resulting non-finite values are caught by integrate(), so the
     # intermediate overflow warnings are noise
-    if cfg.transform == "rational":
-        def g(u):
-            omu = 1.0 - u
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return f(a + scale * u / omu) * (scale / (omu * omu))
-    else:  # exponential
-        def g(u):
-            omu = 1.0 - u
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return f(a - scale * np.log(omu)) * (scale / omu)
+    def g(u):
+        omu = 1.0 - u
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return f(a + scale * u / omu) * (scale / (omu * omu))
 
     return integrate(g, 0.0, 1.0, cfg)
 

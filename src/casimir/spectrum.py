@@ -121,6 +121,11 @@ def dos_from_greens(Q, k, r1, r2, L, eta=0.0):
     Cross-check route: rho = -(1/2 pi) Im[G^E(z, z) + G^B(z, z)], which is
     independent of z.  Evaluated at z = L/2 by default symmetry; callers
     verifying z-independence can use the Green's functions directly.
+
+    The result is Re[(1 + x) / ((1 - x)(k + i eta))] / (2 pi) with
+    x = r1 r2 e^{2i(k + i eta)L}.  It equals :func:`dos` only at eta = 0:
+    ``dos`` divides by k, not by k + i eta, and for eta > 0 the two differ
+    most between the peaks of a high-finesse cavity.
     """
     z = 0.5 * L
     g = green_electric(z, z, Q, k, r1, r2, L, eta) + green_magnetic(z, z, Q, k, r1, r2, L, eta)

@@ -11,7 +11,6 @@ from casimir import (
     Plasma,
     Tabulated,
     Vacuum,
-    eval_permittivity,
     load_optical_table,
     permittivity_from_table,
 )
@@ -148,7 +147,6 @@ def test_kk_continuation_reproduces_drude():
 
 def test_tabulated_model_round_trip():
     model = Tabulated(table=_drude_table())
-    assert model.supports_real_axis
     w = np.array([1e15, 5e15])
     got = model.eval(w)
     want = 1.0 - WP ** 2 / (w * (w + 1j * GAMMA))
@@ -162,10 +160,20 @@ def test_tabulated_model_round_trip():
 def test_tabulated_without_re_column_rejects_real_axis():
     table = OpticalTable(omega=np.array([1e15, 2e15]), im_eps=np.array([0.3, 0.1]))
     model = Tabulated(table=table)
-    assert not model.supports_real_axis
     with pytest.raises(FrequencyDomainError):
         model.eval(1.5e15)
 
 
-def test_eval_permittivity_dispatch():
-    assert eval_permittivity(Constant(4.0), 1e15) == pytest.approx(4.0)
+def test_constant_eval_at_real_frequency():
+    assert Constant(4.0).eval(1e15) == pytest.approx(4.0)
+
+
+def test_kk_continuation_of_insulator_data():
+    # a single Lorentz oscillator: omega Im eps rises across the first grid
+    # points, so the low tail is the linear insulator one, not Drude-type
+    osc = DrudeLorentz(1.0, ((2.0, 3e15, 3e14),))
+    w = np.linspace(1e15, 6e15, 200)
+    table = OpticalTable(omega=w, im_eps=osc.eval(w).imag)
+    for xi in np.geomspace(1e13, 1e17, 9):
+        got = permittivity_from_table(table, xi)
+        assert got == pytest.approx(float(osc.eval_iw(xi)), rel=1e-2)

@@ -108,6 +108,15 @@ def test_reduction_factor_consistency():
     assert res.reduction == pytest.approx(reduction_factor(res, 1e-6), rel=1e-15)
 
 
+def test_result_fields_are_plain_floats():
+    m = PerfectMirror()
+    d = Drude(WP, GAMMA)
+    for res in (force_imag_axis(m, m, 1e-6, CFG),
+                lifshitz_force(d, d, Vacuum(), 1e-6, QuadratureConfig(rtol=1e-6))):
+        for value in (res.pressure, res.error, res.reduction):
+            assert type(value) is float
+
+
 def test_pressure_magnitude_decreases_with_separation():
     m = FresnelReflection(Drude(WP, GAMMA))
     Ls = np.geomspace(1e-8, 1e-5, 8)

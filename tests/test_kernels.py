@@ -1,42 +1,7 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from casimir import kernels
-
-WP = 1.37e16
-GAMMA = 5.3e13
-
-
-def test_compiled_and_python_twins_agree():
-    rng = np.random.default_rng(77)
-    xi = rng.uniform(1e13, 1e17, 256)
-    Q = rng.uniform(1e4, 1e8, 256)
-    v = rng.uniform(0.01, 12.0, 256)
-    prod = rng.uniform(-0.99, 0.99, 256)
-    cases = [
-        (kernels.plasma_eps_iw, (xi, WP)),
-        (kernels.drude_eps_iw, (xi, WP, GAMMA)),
-        (kernels.exchange_term, (prod, v)),
-        (kernels.force_integrand_iw, (1.3, v, prod, np.abs(prod))),
-        (kernels.lifshitz_inner, (xi, 1.7, 4.0, 2.5, 1.0, 1e-6 / 2.99792458e8)),
-    ]
-    for fn, args in cases:
-        fast = fn(*args)
-        slow = kernels.python_impl(fn)(*args)
-        np.testing.assert_allclose(np.asarray(fast), np.asarray(slow), rtol=1e-14)
-    rs_f, rp_f = kernels.fresnel_rs_rp_iw(4.2, 1e7 / 3e8, Q)
-    rs_s, rp_s = kernels.python_impl(kernels.fresnel_rs_rp_iw)(4.2, 1e7 / 3e8, Q)
-    np.testing.assert_allclose(rs_f, rs_s, rtol=1e-14)
-    np.testing.assert_allclose(rp_f, rp_s, rtol=1e-14)
-
-
-def test_exchange_term_geometric_series():
-    # g/(1-g) with g = rho e^{-2w}
-    assert kernels.exchange_term(0.5, 1.0) == pytest.approx(
-        0.5 * np.exp(-2.0) / (1.0 - 0.5 * np.exp(-2.0)), rel=1e-14)
 
 
 def test_fresnel_kernel_limits():
@@ -46,34 +11,3 @@ def test_fresnel_kernel_limits():
     rs, rp = kernels.fresnel_rs_rp_iw(1e12, 1e6, Q)
     assert rs[0] == pytest.approx(-1.0, abs=1e-5)  # mirror limit, both pols
     assert rp[0] == pytest.approx(-1.0, abs=1e-5)
-
-
-def _run_with_env(child_env, flag):
-    code = (
-        "from casimir import kernels\n"
-        "print(kernels.PURE_NUMPY, kernels.NUMBA_ENABLED, "
-        "kernels.plasma_eps_iw(1e15, 1.37e16))\n"
-    )
-    # A minimal environment, so an outer CASIMIR_PURE_NUMPY cannot leak in.
-    env = child_env({"PATH": "/usr/bin:/bin", "CASIMIR_PURE_NUMPY": flag})
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.split()
-
-
-def test_pure_numpy_env_flag_selects_fallback(child_env):
-    pure, numba_on, value = _run_with_env(child_env, "1")
-    assert pure == "True" and numba_on == "False"
-    default = _run_with_env(child_env, "0")
-    assert default[0] == "False"
-    # both paths compute the same number
-    assert float(value) == pytest.approx(float(default[2]), rel=1e-15)
-
-
-def test_numba_is_active_by_default():
-    if kernels.PURE_NUMPY:
-        pytest.skip("suite running with CASIMIR_PURE_NUMPY set")
-    pytest.importorskip("numba")
-    assert kernels.NUMBA_ENABLED
-    assert hasattr(kernels.plasma_eps_iw, "py_func")

@@ -67,6 +67,19 @@ def test_dos_matches_greens_function_route():
             0.5 * total, rel=1e-9)
 
 
+def test_greens_route_with_broadening():
+    # for eta > 0 the Green's route divides by k + i eta where dos divides
+    # by k, so it is pinned to its own closed form, not to dos
+    for r1, r2 in ((-1.0, -1.0), (0.4, -0.6)):
+        for k in np.linspace(0.3, 20.0, 41) / L:
+            eta = 1e-6 * k
+            kt = k + 1j * eta
+            x = r1 * r2 * np.exp(2j * kt * L)
+            want = np.real((1.0 + x) / ((1.0 - x) * kt)) / (2.0 * np.pi)
+            assert dos_from_greens(0.0, k, r1, r2, L, eta) == pytest.approx(
+                want, rel=1e-9)
+
+
 def test_dos_is_z_independent_through_greens_functions():
     r1, r2 = 0.7, 0.5
     k = 5.3 / L
