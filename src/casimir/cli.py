@@ -231,7 +231,11 @@ def parse_config(path) -> RunConfig:
     base_dir = path.parent
 
     slab1, diel1 = _parse_slab(doc["slab1"], "slab1", base_dir)
-    slab2, diel2 = _parse_slab(doc["slab2"], "slab2", base_dir)
+    # identical slabs share one model, so the force paths can see r2 is r1
+    if doc["slab2"] == doc["slab1"]:
+        slab2, diel2 = slab1, diel1
+    else:
+        slab2, diel2 = _parse_slab(doc["slab2"], "slab2", base_dir)
 
     sweep = _expect_mapping(doc.get("sweep", {}), "sweep")
     _check_keys(sweep, "sweep", {"min", "max", "points", "spacing"})

@@ -26,13 +26,14 @@ from . import kernels
 from .constants import C_LIGHT, HBAR
 from .dielectric import DielectricModel
 from .errors import ConvergenceError, PassivityError, ResonanceError
-from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite, panel_results
-from .reflection import (
-    ReflectionModel,
-    WaveKinematics,
-    amplitudes_both,
-    imag_axis_amplitudes,
+from .quadrature import (
+    QuadratureConfig,
+    integrate,
+    integrate_semi_infinite,
+    integrate_semi_infinite_many,
+    panel_results,
 )
+from .reflection import ReflectionModel, WaveKinematics, amplitudes_both
 
 _PASSIVITY_SLACK = 1e-9
 
@@ -89,10 +90,11 @@ class _InnerScale:
         self.value = max(self.value, abs(v))
 
 
-def _double_integral(outer_integrand, cfg, outer_scale=1.0):
-    """Outer semi-infinite integral whose integrand runs an inner quadrature.
+def _double_integral(inner_many, cfg, outer_scale=1.0):
+    """Outer semi-infinite integral over u of inner integrals run in lockstep.
 
-    ``outer_integrand(u, inner_cfg) -> (value, error)``.  Returns
+    ``inner_many(us, inner_cfg) -> (values, errors, ok)`` computes the inner
+    integral at every outer node of one outer-quadrature call.  Returns
     (value, error, converged) with inner errors folded into the estimate.
     """
     # inner integrals run on relative tolerance alone: an absolute floor in
@@ -103,17 +105,13 @@ def _double_integral(outer_integrand, cfg, outer_scale=1.0):
     converged = [True]
 
     def f(us):
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            try:
-                v, e = outer_integrand(float(u), inner_cfg)
-            except ConvergenceError as exc:
-                converged[0] = False
-                v, e = exc.value, exc.error
-            if v != 0.0:
-                inner_rel[0] = max(inner_rel[0], e / abs(v))
-            out[i] = v
-        return out
+        values, errors, ok = inner_many(us, inner_cfg)
+        converged[0] = converged[0] and bool(ok.all())
+        nonzero = values != 0.0
+        # fmax ignores NaN ratios, so one NaN cannot hide the worst finite one
+        inner_rel[0] = float(np.fmax.reduce(errors[nonzero] / np.abs(values[nonzero]),
+                                            initial=inner_rel[0]))
+        return values
 
     try:
         val, err = integrate_semi_infinite(f, 0.0, cfg, scale=outer_scale)
@@ -137,23 +135,25 @@ def force_imag_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     cfg = cfg or QuadratureConfig()
     neval = [0]
 
-    def inner(u, cfg_u):
-        xi = u * C_LIGHT / L
+    def inner_many(us, cfg_u):
+        xi = us * C_LIGHT / L
+        amps1 = r1.imag_axis(xi)
+        amps2 = amps1 if r2 is r1 else r2.imag_axis(xi)
 
-        def g(v):
+        def g(idx, v):
             Q = v / L
-            rs1, rp1 = imag_axis_amplitudes(r1, xi, Q)
-            rs2, rp2 = imag_axis_amplitudes(r2, xi, Q)
+            rs1, rp1 = amps1(idx, Q)
+            rs2, rp2 = (rs1, rp1) if amps2 is amps1 else amps2(idx, Q)
             prod_s = rs1 * rs2
             prod_p = rp1 * rp2
             _check_passive(prod_s, "(xi, Q)")
             _check_passive(prod_p, "(xi, Q)")
             neval[0] += v.size
-            return kernels.force_integrand_iw(u, v, prod_s, prod_p)
+            return kernels.force_integrand_iw(us[idx], v, prod_s, prod_p)
 
-        return integrate_semi_infinite(g, 0.0, cfg_u, scale=1.0 + math.sqrt(u))
+        return integrate_semi_infinite_many(g, 0.0, 1.0 + np.sqrt(us), cfg_u)
 
-    val, err, ok = _double_integral(inner, cfg)
+    val, err, ok = _double_integral(inner_many, cfg)
     pref = HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4)
     return _result(-pref * val, pref * err, L, cfg, ok, neval[0], "imaginary-axis")
 
@@ -177,25 +177,25 @@ def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
     neval = [0]
     L_over_c = L / C_LIGHT
 
-    def inner(t, cfg_t):
-        p = 1.0 + t
+    # p = 1 + t; the p^2 dp weight multiplies the inner integrals
+    def inner_many(ts, cfg_t):
+        ps = 1.0 + ts
 
-        def g(xi):
+        def g(idx, xi):
             e1 = np.asarray(eps1.eval_iw(xi), dtype=float)
             e2 = np.asarray(eps2.eval_iw(xi), dtype=float)
             e3 = np.asarray(eps3.eval_iw(xi), dtype=float)
             neval[0] += xi.size
-            return kernels.lifshitz_inner(xi, p, e1, e2, e3, L_over_c)
+            return kernels.lifshitz_inner(xi, ps[idx], e1, e2, e3, L_over_c)
 
         # decay scale of e^{-2 xi p sqrt(eps3) L/c} in xi
-        return integrate_semi_infinite(g, 0.0, cfg_t, scale=C_LIGHT / (p * L))
+        values, errors, ok = integrate_semi_infinite_many(g, 0.0, C_LIGHT / (ps * L), cfg_t)
+        # Python float pow: numpy's ** 2 is p*p, which differs from it in the
+        # last bit for some p and would change the output bytes
+        weight = np.array([p ** 2 for p in ps.tolist()])
+        return weight * values, weight * errors, ok
 
-    # p = 1 + t, p^2 dp weight absorbed in the integrand
-    def outer(t, cfg_t):
-        v, e = inner(t, cfg_t)
-        return (1.0 + t) ** 2 * v, (1.0 + t) ** 2 * e
-
-    val, err, ok = _double_integral(outer, cfg)
+    val, err, ok = _double_integral(inner_many, cfg)
     pref = HBAR / (2.0 * math.pi ** 2 * C_LIGHT ** 3)
     # the xi-integral carries dimensions rad^4/s^4; val is already in SI
     return _result(-pref * val, pref * err, L, cfg, ok, neval[0], "lifshitz")

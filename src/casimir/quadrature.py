@@ -37,6 +37,9 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _EPS = np.finfo(float).eps
+_PANEL_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+# tail-check sample points, in units of the semi-infinite map's scale
+_TAIL_X = np.array([1e1, 1e2, 1e3, 1e4])
 
 
 @dataclass(frozen=True)
@@ -58,12 +61,14 @@ class QuadratureConfig:
 
 
 def _panel(fx, half):
-    """Kronrod/Gauss estimates and QUADPACK-style error for one panel."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        resk = _WGK @ fx
-        resg = _WG @ fx[1::2]
-        resabs = _WGK @ np.abs(fx)
-        resasc = _WGK @ np.abs(fx - 0.5 * resk)
+    """Kronrod/Gauss estimates and QUADPACK-style error for one panel.
+
+    Callers run it under ``np.errstate(**_PANEL_ERRSTATE)``.
+    """
+    resk = _WGK @ fx
+    resg = _WG @ fx[1::2]
+    resabs = _WGK @ np.abs(fx)
+    resasc = _WGK @ np.abs(fx - 0.5 * resk)
     value = resk * half
     err = abs((resk - resg) * half)
     asc = resasc * half
@@ -89,7 +94,8 @@ def integrate(f, a, b, cfg=None):
         if not np.all(np.isfinite(fx)):
             raise DivergenceError(
                 f"integrand returned a non-finite value inside [{lo}, {hi}]")
-        return _panel(fx, half)
+        with np.errstate(**_PANEL_ERRSTATE):
+            return _panel(fx, half)
 
     val, err = eval_interval(a, b)
     # heap entries: (-err, tiebreak, lo, hi, val, err)
@@ -111,8 +117,9 @@ def integrate(f, a, b, cfg=None):
         h2 = 0.5 * (hi - mid)
         xs = np.concatenate((lo + h1 * (_XGK + 1.0), mid + h2 * (_XGK + 1.0)))
         fx = np.asarray(f(xs), dtype=float)
-        v1, e1 = _panel(fx[:15], h1)
-        v2, e2 = _panel(fx[15:], h2)
+        with np.errstate(**_PANEL_ERRSTATE):
+            v1, e1 = _panel(fx[:15], h1)
+            v2, e2 = _panel(fx[15:], h2)
         total_val += v1 + v2 - v_old
         total_err += e1 + e2 - e_old
         heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
@@ -133,28 +140,119 @@ def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
     ``scale`` sets the decay length the substitution resolves.  Returns
     ``(value, error_estimate)``.  A non-decaying integrand is reported as
     :class:`DivergenceError` (heuristic sample check, see cfg.tail_check).
+    The single-integrand case of :func:`integrate_semi_infinite_many`.
     """
     cfg = cfg or QuadratureConfig()
     if scale <= 0.0 or not np.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale}")
+    values, errors, ok = integrate_semi_infinite_many(
+        lambda idx, x: f(x), a, [scale], cfg)
+    value, error = float(values[0]), float(errors[0])
+    if not ok[0]:
+        raise ConvergenceError(
+            f"quadrature did not converge in {cfg.max_subdivisions} "
+            f"subdivisions (estimate {value:.6g} +- {error:.3g})",
+            value=value, error=error)
+    return value, error
+
+
+def integrate_semi_infinite_many(f, a, scales, cfg=None):
+    """Integrate ``len(scales)`` integrands over [a, inf) in lockstep.
+
+    ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``; integrand ``i``
+    is mapped to (0, 1) by x = a + scales[i] u/(1-u).  Every integral keeps
+    its own interval heap, stopping rule, subdivision budget, tail check and
+    error estimate, so each value and error equals what
+    :func:`integrate_semi_infinite` returns for that integrand alone; only
+    the calls to ``f`` are shared, one per bisection round holding the 30
+    new nodes of every unconverged integral.
+
+    Returns ``(values, errors, ok)`` arrays.  Where the subdivision budget
+    runs out ``ok[i]`` is False and ``values[i]``, ``errors[i]`` are the
+    partial sum and running error that the scalar routine's
+    :class:`ConvergenceError` carries.  A non-decaying or non-finite
+    integrand raises :class:`DivergenceError` as the scalar routine does.
+    """
+    cfg = cfg or QuadratureConfig()
+    scales = np.asarray(scales, dtype=float)
+    if scales.ndim != 1 or not np.all((scales > 0.0) & np.isfinite(scales)):
+        raise ValueError(f"scales must be positive and finite, got {scales}")
+    n = scales.size
 
     if cfg.tail_check == "sample-decay":
-        xs = a + scale * np.array([1e1, 1e2, 1e3, 1e4])
-        samples = np.abs((xs - a) * np.asarray(f(xs), dtype=float))
-        if samples.max() > 0.0 and samples[-1] >= samples[0] > 0.0:
+        idx = np.repeat(np.arange(n), _TAIL_X.size)
+        xs = a + scales[idx] * np.tile(_TAIL_X, n)
+        samples = np.abs((xs - a) * np.asarray(f(idx, xs), dtype=float)).reshape(n, -1)
+        grows = ((samples.max(axis=1) > 0.0) & (samples[:, -1] >= samples[:, 0])
+                 & (samples[:, 0] > 0.0))
+        if grows.any():
             raise DivergenceError(
                 "integrand samples do not decay towards infinity "
-                f"(|x f(x)| at x-a = 10..1e4 scale: {samples.tolist()})")
+                f"(|x f(x)| at x-a = 10..1e4 scale: {samples[grows.argmax()].tolist()})")
 
     # omu underflows to zero when subdivision pushes nodes against u = 1;
-    # the resulting non-finite values are caught by integrate(), so the
-    # intermediate overflow warnings are noise
-    def g(u):
+    # the intermediate overflow warnings are noise
+    def g(idx, u):
         omu = 1.0 - u
+        s = scales[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return f(a + scale * u / omu) * (scale / (omu * omu))
+            return np.asarray(f(idx, a + s * u / omu) * (s / (omu * omu)), dtype=float)
 
-    return integrate(g, 0.0, 1.0, cfg)
+    # the first panel [0, 1] of every integral; as in integrate(), only the
+    # first panel is checked for non-finite values
+    fx = g(np.repeat(np.arange(n), _XGK.size), np.tile(0.5 * (_XGK + 1.0), n))
+    if not np.all(np.isfinite(fx)):
+        raise DivergenceError(
+            "integrand returned a non-finite value inside [0.0, 1.0]")
+    heaps, total_val, total_err = [], [], []
+    with np.errstate(**_PANEL_ERRSTATE):
+        for row in fx.reshape(n, _XGK.size):
+            val, err = _panel(row, 0.5)
+            heaps.append([(-err, 0, 0.0, 1.0, val, err)])
+            total_val.append(val)
+            total_err.append(err)
+
+    values = np.empty(n)
+    errors = np.empty(n)
+    ok = np.ones(n, dtype=bool)
+    seq = [1] * n
+    n_sub = [1] * n
+    active = range(n)
+    while active:
+        live, popped = [], []
+        for i in active:
+            done = not total_err[i] > max(cfg.atol, cfg.rtol * abs(total_val[i]))
+            if done or n_sub[i] >= cfg.max_subdivisions:
+                values[i], errors[i] = _ordered_sum(heaps[i], 4), total_err[i]
+                ok[i] = done
+            else:
+                live.append(i)
+                popped.append(heapq.heappop(heaps[i]))
+        if not live:
+            break
+        lo = np.array([entry[2] for entry in popped])
+        hi = np.array([entry[3] for entry in popped])
+        mid = 0.5 * (lo + hi)
+        h1 = 0.5 * (mid - lo)
+        h2 = 0.5 * (hi - mid)
+        xs = np.concatenate((lo[:, None] + h1[:, None] * (_XGK + 1.0),
+                             mid[:, None] + h2[:, None] * (_XGK + 1.0)), axis=1)
+        fx = g(np.repeat(live, 2 * _XGK.size), xs.ravel()).reshape(len(live), -1)
+        mids, h1s, h2s = mid.tolist(), h1.tolist(), h2.tolist()
+        with np.errstate(**_PANEL_ERRSTATE):
+            for j, i in enumerate(live):
+                _, _, lo_i, hi_i, v_old, e_old = popped[j]
+                mid_i = mids[j]
+                v1, e1 = _panel(fx[j, :15], h1s[j])
+                v2, e2 = _panel(fx[j, 15:], h2s[j])
+                total_val[i] += v1 + v2 - v_old
+                total_err[i] += e1 + e2 - e_old
+                heapq.heappush(heaps[i], (-e1, seq[i], lo_i, mid_i, v1, e1))
+                heapq.heappush(heaps[i], (-e2, seq[i] + 1, mid_i, hi_i, v2, e2))
+                seq[i] += 2
+                n_sub[i] += 1
+        active = live
+    return values, errors, ok
 
 
 def panel_results(f, edges):
@@ -171,8 +269,9 @@ def panel_results(f, edges):
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     vals = np.empty(half.size)
     errs = np.empty(half.size)
-    for i in range(half.size):
-        vals[i], errs[i] = _panel(fx[i], half[i])
+    with np.errstate(**_PANEL_ERRSTATE):
+        for i in range(half.size):
+            vals[i], errs[i] = _panel(fx[i], half[i])
     return vals, errs
 
 

@@ -104,6 +104,15 @@ def fresnel(model: DielectricModel, pol: str, kin: WaveKinematics):
     raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
 
 
+def _fresnel_pair(eps, kin: WaveKinematics):
+    """(r_s, r_p) of :func:`fresnel` from one permittivity value ``eps``."""
+    k_a = medium_normal_wavevector(eps, kin)
+    if np.any(k_a == 0.0):
+        raise SingularKinematicsError("branch-cut-ambiguous kinematics k_a = 0")
+    return ((kin.k - k_a) / (kin.k + k_a),
+            (k_a - eps * kin.k) / (k_a + eps * kin.k))
+
+
 def perfect_mirror(pol: str):
     """Ideal-mirror limit (eps -> infinity) of the Fresnel amplitudes."""
     if pol not in ("s", "p"):
@@ -151,13 +160,19 @@ def multilayer_reflection(stack: LayerStack, pol: str, kin: WaveKinematics):
     """
     if pol not in ("s", "p"):
         raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
-    if stack.substrate == MIRROR:
+    eps_sub = None if stack.substrate == MIRROR else stack.substrate.eval(kin.freq)
+    eps_layers = [medium.eval(kin.freq) for _, medium in stack.layers]
+    return _stack_reflection(stack, eps_sub, eps_layers, pol, kin)
+
+
+def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, pol, kin):
+    """:func:`multilayer_reflection` from the substrate's and the layers'
+    permittivities (``eps_sub`` None for a mirror substrate)."""
+    if eps_sub is None:
         Z = np.zeros_like(kin.q)
     else:
-        eps_sub = stack.substrate.eval(kin.freq)
         Z, _ = _characteristic_impedance(eps_sub, pol, kin)
-    for d, medium in reversed(stack.layers):
-        eps = medium.eval(kin.freq)
+    for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
         Zc, k_a = _characteristic_impedance(eps, pol, kin)
         r_inner = impedance_to_reflection(Z, Zc)
         phase = np.exp(2j * k_a * d)
@@ -166,6 +181,18 @@ def multilayer_reflection(stack: LayerStack, pol: str, kin: WaveKinematics):
             raise ResonanceError("stack resonance (impedance recursion pole)")
         Z = Zc * (1.0 + r_inner * phase) / den
     return impedance_to_reflection(Z, vacuum_impedance(pol, kin))
+
+
+_IMAG_TOL = 1e-9
+
+
+def _real_on_imag_axis(model, r):
+    """Real part of amplitudes computed at i*xi, which must be real."""
+    r = np.asarray(r, dtype=complex)
+    if np.any(np.abs(r.imag) > _IMAG_TOL * (1.0 + np.abs(r))):
+        raise ValueError(
+            f"model {model!r} returned a non-real amplitude on the imaginary axis")
+    return r.real.astype(float)
 
 
 class ReflectionModel:
@@ -178,12 +205,43 @@ class ReflectionModel:
     def amplitude(self, pol, Q, freq):
         raise NotImplementedError
 
+    def imag_axis(self, xi):
+        """Bind the model to the imaginary-axis nodes ``xi`` (1D, rad/s).
+
+        Returns ``amplitudes(idx, Q) -> (r_s, r_p)``, real float arrays at
+        freq = 1j*xi[idx] and parallel wavevector Q (same shape as idx).
+        This generic route evaluates the complex amplitude one node at a
+        time, with a scalar frequency, and checks that it is real; subclasses
+        override it to evaluate eps once per node.
+        """
+        xi = np.asarray(xi, dtype=float)
+
+        def amplitudes(idx, Q):
+            r_s = np.empty(np.shape(Q))
+            r_p = np.empty(np.shape(Q))
+            nodes, where = np.unique(idx, return_inverse=True)
+            for j, k in enumerate(nodes.tolist()):
+                sel = where == j
+                freq = 1j * float(xi[k])
+                r_s[sel] = _real_on_imag_axis(self, self.amplitude("s", Q[sel], freq))
+                r_p[sel] = _real_on_imag_axis(self, self.amplitude("p", Q[sel], freq))
+            return r_s, r_p
+
+        return amplitudes
+
 
 @dataclass(frozen=True)
 class PerfectMirror(ReflectionModel):
     def amplitude(self, pol, Q, freq):
         kin = WaveKinematics.create(Q, freq)
         return np.broadcast_to(perfect_mirror(pol), np.broadcast(kin.Q, kin.q).shape).copy()
+
+    def imag_axis(self, xi):
+        def amplitudes(idx, Q):
+            r = np.full(np.shape(Q), -1.0)
+            return r, r.copy()
+
+        return amplitudes
 
 
 @dataclass(frozen=True)
@@ -198,6 +256,18 @@ class ConstantReflection(ReflectionModel):
         r = self.r_s if pol == "s" else self.r_p
         return np.broadcast_to(complex(r), np.broadcast(kin.Q, kin.q).shape).copy()
 
+    def imag_axis(self, xi):
+        for r in (self.r_s, self.r_p):
+            if abs(complex(r).imag) > _IMAG_TOL:
+                raise ValueError(
+                    f"constant amplitude {r} is not real on the imaginary axis")
+        r_s, r_p = float(np.real(self.r_s)), float(np.real(self.r_p))
+
+        def amplitudes(idx, Q):
+            return np.full(np.shape(Q), r_s), np.full(np.shape(Q), r_p)
+
+        return amplitudes
+
 
 @dataclass(frozen=True)
 class FresnelReflection(ReflectionModel):
@@ -205,6 +275,30 @@ class FresnelReflection(ReflectionModel):
 
     def amplitude(self, pol, Q, freq):
         return fresnel(self.dielectric, pol, WaveKinematics.create(Q, freq))
+
+    def imag_axis(self, xi):
+        """Fresnel amplitudes at i*xi with eps(i*xi) evaluated once per node.
+
+        Analytic media go through the real kernel; tabulated media keep
+        the complex Fresnel arithmetic of :func:`fresnel`, which the real
+        kernel does not reproduce to the last digit.
+        """
+        xi = np.asarray(xi, dtype=float)
+        # scalar calls: the array branch of some analytic eval_iw differs
+        # from the scalar one in the last bit
+        eps = np.array([float(self.dielectric.eval_iw(x)) for x in xi.tolist()])
+        if not isinstance(self.dielectric, Tabulated):
+            def amplitudes(idx, Q):
+                return kernels.fresnel_rs_rp_iw(eps[idx], xi[idx] / C_LIGHT, Q)
+
+            return amplitudes
+        eps_c = eps.astype(complex)
+
+        def amplitudes(idx, Q):
+            r_s, r_p = _fresnel_pair(eps_c[idx], WaveKinematics.create(Q, 1j * xi[idx]))
+            return _real_on_imag_axis(self, r_s), _real_on_imag_axis(self, r_p)
+
+        return amplitudes
 
 
 @dataclass(frozen=True)
@@ -230,6 +324,29 @@ class MultilayerReflection(ReflectionModel):
     def amplitude(self, pol, Q, freq):
         return multilayer_reflection(self.stack, pol, WaveKinematics.create(Q, freq))
 
+    def imag_axis(self, xi):
+        """Stack amplitudes at i*xi with every medium's eps evaluated once
+        per node at a scalar frequency, so each value equals a per-node
+        :meth:`amplitude` call."""
+        xi = np.asarray(xi, dtype=float)
+
+        def per_node(medium):
+            return np.array([complex(medium.eval(1j * x)) for x in xi.tolist()])
+
+        sub = self.stack.substrate
+        eps_sub = None if sub == MIRROR else per_node(sub)
+        eps_layers = [per_node(medium) for _, medium in self.stack.layers]
+
+        def amplitudes(idx, Q):
+            kin = WaveKinematics.create(Q, 1j * xi[idx])
+            sub_idx = None if eps_sub is None else eps_sub[idx]
+            layers_idx = [eps[idx] for eps in eps_layers]
+            return tuple(_real_on_imag_axis(
+                self, _stack_reflection(self.stack, sub_idx, layers_idx, pol, kin))
+                for pol in ("s", "p"))
+
+        return amplitudes
+
 
 def amplitudes_both(model: ReflectionModel, kin: WaveKinematics):
     """(r_s, r_p) at shared kinematics, with one dielectric evaluation.
@@ -245,45 +362,6 @@ def amplitudes_both(model: ReflectionModel, kin: WaveKinematics):
         return (np.broadcast_to(complex(model.r_s), shape),
                 np.broadcast_to(complex(model.r_p), shape))
     if isinstance(model, FresnelReflection):
-        eps = model.dielectric.eval(kin.freq)
-        k_a = medium_normal_wavevector(eps, kin)
-        if np.any(k_a == 0.0):
-            raise SingularKinematicsError("branch-cut-ambiguous kinematics k_a = 0")
-        return ((kin.k - k_a) / (kin.k + k_a),
-                (k_a - eps * kin.k) / (k_a + eps * kin.k))
+        return _fresnel_pair(model.dielectric.eval(kin.freq), kin)
     return (np.asarray(model.amplitude("s", kin.Q, kin.freq), dtype=complex),
             np.asarray(model.amplitude("p", kin.Q, kin.freq), dtype=complex))
-
-
-_IMAG_TOL = 1e-9
-
-
-def imag_axis_amplitudes(model: ReflectionModel, xi: float, Q):
-    """(r_s, r_p) as real float arrays at freq = i*xi.
-
-    Uses the compiled Fresnel kernel for analytic dielectric variants and
-    falls back to the generic complex route, checking that the result is
-    real as required on the imaginary axis.
-    """
-    Q = np.atleast_1d(np.asarray(Q, dtype=float))
-    if isinstance(model, PerfectMirror):
-        r = np.full(Q.shape, -1.0)
-        return r, r.copy()
-    if isinstance(model, ConstantReflection):
-        for r in (model.r_s, model.r_p):
-            if abs(complex(r).imag) > _IMAG_TOL:
-                raise ValueError(
-                    f"constant amplitude {r} is not real on the imaginary axis")
-        return (np.full(Q.shape, float(np.real(model.r_s))),
-                np.full(Q.shape, float(np.real(model.r_p))))
-    if isinstance(model, FresnelReflection) and not isinstance(model.dielectric, Tabulated):
-        eps = float(model.dielectric.eval_iw(xi))
-        return kernels.fresnel_rs_rp_iw(eps, xi / C_LIGHT, Q)
-    out = []
-    for pol in ("s", "p"):
-        r = np.asarray(model.amplitude(pol, Q, 1j * xi), dtype=complex)
-        if np.any(np.abs(r.imag) > _IMAG_TOL * (1.0 + np.abs(r))):
-            raise ValueError(
-                f"model {model!r} returned a non-real amplitude on the imaginary axis")
-        out.append(r.real.astype(float))
-    return tuple(out)

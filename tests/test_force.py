@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,11 @@ from casimir import (
     force_imag_axis,
     force_real_axis,
     ideal_casimir_pressure,
+    integrate_semi_infinite,
     lifshitz_force,
     reduction_factor,
 )
+from casimir import kernels
 from casimir.constants import C_LIGHT, HBAR
 
 WP = 1.37e16
@@ -189,3 +193,83 @@ def test_imag_axis_results_are_deterministic():
     vals = {force_imag_axis(m, m, 1e-7, QuadratureConfig(rtol=1e-8)).pressure
             for _ in range(3)}
     assert len(vals) == 1
+
+
+def _per_node_imag_axis(r1, r2, L, cfg):
+    """Reference: the imaginary-axis pressure with one scalar inner integral
+    per outer node and eps evaluated per inner call, as (pressure, error,
+    neval, converged).  Same arithmetic as force_imag_axis, no batching."""
+    inner_cfg = replace(cfg, rtol=max(0.1 * cfg.rtol, 2e-14))
+    neval = [0]
+    inner_rel = [0.0]
+    converged = [True]
+
+    def amplitudes(model, xi, Q):
+        if isinstance(model, FresnelReflection):
+            eps = float(model.dielectric.eval_iw(xi))
+            return kernels.fresnel_rs_rp_iw(eps, xi / C_LIGHT, Q)
+        return tuple(np.real(model.amplitude(pol, Q, 1j * xi)) for pol in ("s", "p"))
+
+    def inner(u):
+        xi = u * C_LIGHT / L
+
+        def g(v):
+            rs1, rp1 = amplitudes(r1, xi, v / L)
+            rs2, rp2 = amplitudes(r2, xi, v / L)
+            neval[0] += v.size
+            return kernels.force_integrand_iw(u, v, rs1 * rs2, rp1 * rp2)
+
+        try:
+            return integrate_semi_infinite(g, 0.0, inner_cfg, scale=1.0 + np.sqrt(u))
+        except ConvergenceError as exc:
+            converged[0] = False
+            return exc.value, exc.error
+
+    def f(us):
+        out = np.empty_like(us)
+        for i, u in enumerate(us):
+            v, e = inner(float(u))
+            if v != 0.0:
+                inner_rel[0] = max(inner_rel[0], e / abs(v))
+            out[i] = v
+        return out
+
+    try:
+        val, err = integrate_semi_infinite(f, 0.0, cfg)
+    except ConvergenceError as exc:
+        val, err = exc.value, exc.error
+        converged[0] = False
+    err = err + inner_rel[0] * abs(val)
+    pref = HBAR * C_LIGHT / (2.0 * np.pi ** 2 * L ** 4)
+    pressure, error = float(-pref * val), float(pref * err)
+    if error > abs(pressure) * cfg.rtol * 10.0:
+        converged[0] = False
+    return pressure, error, neval[0], converged[0]
+
+
+@pytest.mark.parametrize("case", ["drude", "plasma", "film", "budget"])
+def test_lockstep_inner_integrals_are_bit_identical(case):
+    metal = FresnelReflection(Drude(WP, GAMMA))
+    plasma = FresnelReflection(Plasma(WP))
+    film = MultilayerReflection(
+        LayerStack(layers=((2e-8, Drude(WP, GAMMA)),), substrate=Constant(4.0)))
+    r1, r2, L, cfg = {
+        "drude": (metal, metal, 100e-9, QuadratureConfig(rtol=1e-6)),
+        "plasma": (plasma, plasma, 100e-9, QuadratureConfig(rtol=1e-6)),
+        "film": (film, metal, 1e-6, QuadratureConfig(rtol=1e-6)),
+        "budget": (metal, metal, 100e-9, QuadratureConfig(rtol=1e-12, max_subdivisions=10)),
+    }[case]
+    res = force_imag_axis(r1, r2, L, cfg)
+    assert (res.pressure, res.error, res.neval, res.converged) == \
+        _per_node_imag_axis(r1, r2, L, cfg)
+    assert res.converged == (case != "budget")
+
+
+def test_lifshitz_budget_exhaustion_keeps_p_squared_weight():
+    # inner integrals that run out of subdivisions still carry the p^2 dp
+    # weight, so the partial result stays close to the converged pressure
+    d = Drude(WP, GAMMA)
+    res = lifshitz_force(d, d, Vacuum(), 100e-9, QuadratureConfig(rtol=1e-12, max_subdivisions=10))
+    ref = lifshitz_force(d, d, Vacuum(), 100e-9, QuadratureConfig(rtol=1e-8))
+    assert not res.converged
+    assert res.pressure == pytest.approx(ref.pressure, rel=1e-6)

@@ -3,7 +3,7 @@ import pytest
 
 from casimir import ConvergenceError, QuadratureConfig, integrate, integrate_semi_infinite
 from casimir.errors import DivergenceError
-from casimir.quadrature import fixed_panels, panel_results
+from casimir.quadrature import fixed_panels, integrate_semi_infinite_many, panel_results
 
 
 def test_polynomial_is_exact():
@@ -118,3 +118,71 @@ def test_panel_results_sums_to_fixed_panels():
     total, err_total = fixed_panels(f, edges)
     assert np.sum(vals) == pytest.approx(total, rel=1e-14)
     assert np.sum(errs) == pytest.approx(err_total, rel=1e-14)
+
+
+def _batch(funcs):
+    """``f(idx, x)`` for the lockstep engine: integrand idx[j] at x[j]."""
+    def f(idx, x):
+        out = np.empty_like(x)
+        for i, fn in enumerate(funcs):
+            sel = idx == i
+            out[sel] = fn(x[sel])
+        return out
+    return f
+
+
+def test_lockstep_matches_scalar_loop_exactly():
+    # a fast decay, an algebraic tail, and an oscillatory integrand that
+    # runs out of subdivisions; each must equal its own scalar integral
+    funcs = (lambda x: np.exp(-x), lambda x: (1.0 + x) ** -2,
+             lambda x: np.cos(20.0 * x) * np.exp(-0.5 * x))
+    scales = np.array([1.0, 2.5, 0.7])
+    cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=10)
+    values, errors, ok = integrate_semi_infinite_many(_batch(funcs), 0.0, scales, cfg)
+    assert ok.tolist() == [True, True, False]
+    for i, (fn, scale) in enumerate(zip(funcs, scales)):
+        try:
+            want = integrate_semi_infinite(fn, 0.0, cfg, scale=float(scale))
+        except ConvergenceError as exc:
+            want = (exc.value, exc.error)
+            assert i == 2
+        assert values[i] == want[0]
+        assert errors[i] == want[1]
+
+
+def test_lockstep_flags_non_decaying_member():
+    funcs = (lambda x: np.exp(-x), lambda x: np.ones_like(x))
+    with pytest.raises(DivergenceError, match="do not decay"):
+        integrate_semi_infinite_many(_batch(funcs), 0.0, np.ones(2))
+
+
+def test_lockstep_flags_non_finite_member():
+    funcs = (lambda x: np.exp(-x), lambda x: np.full_like(x, np.nan))
+    with pytest.raises(DivergenceError, match="non-finite"):
+        integrate_semi_infinite_many(_batch(funcs), 0.0, np.ones(2))
+
+
+def test_semi_infinite_is_integrate_on_the_mapped_integrand():
+    # integrate_semi_infinite equals integrate() over (0, 1) after the map
+    # x = a + s u/(1-u), to the bit, also when the budget runs out
+    def mapped(f, a, s):
+        def g(u):
+            omu = 1.0 - u
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                return f(a + s * u / omu) * (s / (omu * omu))
+        return g
+
+    cases = ((lambda x: np.exp(-x), 0.0, 1.0),
+             (lambda x: (1.0 + x) ** -2, 2.0, 2.5),
+             (lambda x: np.cos(20.0 * x) * np.exp(-0.5 * x), 0.0, 0.7))
+    cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=10)
+    for f, a, s in cases:
+        try:
+            want = integrate(mapped(f, a, s), 0.0, 1.0, cfg)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as got:
+                integrate_semi_infinite(f, a, cfg, scale=s)
+            assert (got.value.value, got.value.error) == (exc.value, exc.error)
+            assert str(got.value) == str(exc)
+            continue
+        assert integrate_semi_infinite(f, a, cfg, scale=s) == want

@@ -5,12 +5,16 @@ from casimir import (
     Constant,
     ConstantReflection,
     Drude,
+    DrudeLorentz,
     FresnelReflection,
     ImpedanceReflection,
     LayerStack,
     MultilayerReflection,
+    OpticalTable,
     PerfectMirror,
+    Plasma,
     SingularKinematicsError,
+    Tabulated,
     Vacuum,
     WaveKinematics,
     fresnel,
@@ -19,11 +23,11 @@ from casimir import (
     perfect_mirror,
     vacuum_impedance,
 )
+from casimir import kernels
 from casimir.constants import C_LIGHT
 from casimir.reflection import (
     amplitudes_both,
     branch_sqrt,
-    imag_axis_amplitudes,
     medium_normal_wavevector,
 )
 
@@ -107,11 +111,104 @@ def test_imag_axis_amplitudes_fast_path_matches_generic():
     model = FresnelReflection(Drude(WP, GAMMA))
     Q = np.geomspace(1e4, 1e8, 30)
     xi = 2e15
-    rs, rp = imag_axis_amplitudes(model, xi, Q)
+    rs, rp = model.imag_axis(np.array([xi]))(np.zeros(Q.size, dtype=int), Q)
     rs_ref = model.amplitude("s", Q, 1j * xi)
     rp_ref = model.amplitude("p", Q, 1j * xi)
     np.testing.assert_allclose(rs, np.real(rs_ref), rtol=1e-12)
     np.testing.assert_allclose(rp, np.real(rp_ref), rtol=1e-12)
+
+
+def test_imag_axis_matches_amplitude_for_every_model():
+    # three nodes, interleaved in idx as the lockstep quadrature hands them over
+    xi = np.array([3e13, 2e15, 7e16])
+    idx = np.tile([2, 0, 1], 8)
+    Q = np.geomspace(1e4, 1e8, idx.size)
+    omega = np.geomspace(1e13, 1e18, 200)
+    gold = Tabulated(OpticalTable(omega=omega, im_eps=Drude(WP, GAMMA).eval(omega).imag))
+    metal = Drude(WP, GAMMA)
+    models = (
+        (PerfectMirror(), 1e-12),
+        (ConstantReflection(r_s=0.4, r_p=-0.2), 1e-12),
+        (FresnelReflection(metal), 1e-12),
+        (FresnelReflection(Plasma(WP)), 1e-12),
+        (FresnelReflection(DrudeLorentz(1.5, ((2.0, 3e15, 3e14),))), 1e-12),
+        (FresnelReflection(gold), 0.0),
+        (MultilayerReflection(LayerStack(layers=((2e-8, metal),), substrate=Constant(4.0))),
+         1e-12),
+        (ImpedanceReflection(impedance=lambda pol, Q, freq: 0.1 * vacuum_impedance(
+            pol, WaveKinematics.create(Q, freq))), 1e-12),
+    )
+    for model, rtol in models:
+        got = model.imag_axis(xi)(idx, Q)
+        for pol, r in zip(("s", "p"), got):
+            want = np.real(model.amplitude(pol, Q, 1j * xi[idx]))
+            assert r.dtype == float
+            if rtol:
+                np.testing.assert_allclose(r, want, rtol=rtol)
+            else:
+                assert np.array_equal(r, want)
+
+
+def test_imag_axis_rejects_complex_constant():
+    with pytest.raises(ValueError, match="not real"):
+        ConstantReflection(r_s=0.4 + 0.1j, r_p=-0.2).imag_axis(np.array([1e15]))
+
+
+def test_imag_axis_continues_tabulated_eps_once_per_node(monkeypatch):
+    # Fresnel and multilayer slabs bind eps once per node, never per point
+    from casimir import dielectric
+    calls = []
+    kk = dielectric.permittivity_from_table
+
+    def counted(table, xi):
+        calls.append(xi)
+        return kk(table, xi)
+
+    monkeypatch.setattr(dielectric, "permittivity_from_table", counted)
+    omega = np.geomspace(1e13, 1e18, 200)
+    gold = Tabulated(OpticalTable(omega=omega, im_eps=Drude(WP, GAMMA).eval(omega).imag))
+    xi = np.array([3e13, 2e15, 7e16])
+    idx = np.tile([2, 0, 1], 8)
+    Q = np.geomspace(1e4, 1e8, idx.size)
+
+    amplitudes = FresnelReflection(gold).imag_axis(xi)
+    assert len(calls) == xi.size
+    amplitudes(idx, Q)
+    assert len(calls) == xi.size
+
+    calls.clear()
+    film = MultilayerReflection(LayerStack(layers=((2e-8, gold),), substrate=gold))
+    amplitudes = film.imag_axis(xi)
+    assert len(calls) == 2 * xi.size
+    amplitudes(idx, Q)
+    assert len(calls) == 2 * xi.size
+
+
+def test_fresnel_imag_axis_matches_per_node_scalar_eps_bit_for_bit():
+    # Plasma.eval_iw's array branch differs from its scalar one in the last
+    # bit for a few xi; binding must give what one node at a time gives
+    model = FresnelReflection(Plasma(WP))
+    xi = np.geomspace(1e12, 1e18, 20000)
+    Q = np.full(xi.size, 1e6)
+    got = model.imag_axis(xi)(np.arange(xi.size), Q)
+    want = np.array([kernels.fresnel_rs_rp_iw(float(model.dielectric.eval_iw(x)),
+                                              x / C_LIGHT, Q[:1])
+                     for x in xi.tolist()])[:, :, 0].T
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_imag_axis_hands_impedance_a_scalar_frequency():
+    seen = []
+
+    def impedance(pol, Q, freq):
+        seen.append(complex(freq))
+        return 0.1 * vacuum_impedance(pol, WaveKinematics.create(Q, freq))
+
+    xi = np.array([3e13, 2e15])
+    ImpedanceReflection(impedance=impedance).imag_axis(xi)(np.array([1, 0, 1, 0]),
+                                                           np.full(4, 1e6))
+    assert sorted(set(seen), key=abs) == [1j * xi[0], 1j * xi[1]]
 
 
 def test_amplitudes_both_matches_per_polarization():
@@ -171,7 +268,8 @@ def test_multilayer_is_real_on_imag_axis():
     stack = LayerStack(layers=((5e-8, Drude(WP, GAMMA)), (2e-8, Constant(2.25))),
                        substrate=Constant(5.0))
     model = MultilayerReflection(stack)
-    rs, rp = imag_axis_amplitudes(model, 1e15, np.geomspace(1e5, 1e8, 10))
+    Q = np.geomspace(1e5, 1e8, 10)
+    rs, rp = model.imag_axis(np.array([1e15]))(np.zeros(Q.size, dtype=int), Q)
     assert np.all(np.abs(rs) <= 1.0)
     assert np.all(np.abs(rp) <= 1.0)
 
