@@ -338,21 +338,15 @@ def dos_table(cfg: RunConfig):
     p = cfg.dos_params
     L, Q, k_max, points = p["L"], p["Q"], p["k_max"], p["points"]
     ks = np.linspace(k_max / points, k_max, points)
-    rows = []
-    for k in ks:
-        eta = p["eta"] if p["eta"] is not None else default_eta(float(k), L)
-        omega = C_LIGHT * float(np.hypot(Q, k))
-        row = {"k_1_per_m": float(k)}
-        total = 0.0
-        for pol in ("s", "p"):
-            r1 = complex(np.asarray(cfg.slab1.amplitude(pol, Q, omega)).ravel()[0])
-            r2 = complex(np.asarray(cfg.slab2.amplitude(pol, Q, omega)).ravel()[0])
-            rho = dos(pol, Q, float(k), r1, r2, L, eta)
-            row[f"rho_{pol}"] = rho
-            total += rho
-        row["rho_total"] = total
-        rows.append(row)
-    return rows
+    eta = p["eta"] if p["eta"] is not None else default_eta(ks, L)
+    omega = C_LIGHT * np.hypot(Q, ks)
+    rho = {}
+    for pol in ("s", "p"):
+        r1 = np.asarray(cfg.slab1.amplitude(pol, Q, omega), dtype=complex)
+        r2 = np.asarray(cfg.slab2.amplitude(pol, Q, omega), dtype=complex)
+        rho[pol] = dos(pol, Q, ks, r1, r2, L, eta).tolist()
+    return [{"k_1_per_m": k, "rho_s": rs, "rho_p": rp, "rho_total": rs + rp}
+            for k, rs, rp in zip(ks.tolist(), rho["s"], rho["p"])]
 
 
 def _fmt(value):

@@ -28,7 +28,7 @@ from .dielectric import DielectricModel
 from .errors import ConvergenceError, PassivityError, ResonanceError
 from .quadrature import (
     QuadratureConfig,
-    integrate,
+    integrate_many,
     integrate_semi_infinite,
     integrate_semi_infinite_many,
     panel_results,
@@ -77,17 +77,6 @@ def _check_passive(prod, what):
     m = float(np.max(np.abs(prod))) if np.size(prod) else 0.0
     if m > 1.0 + _PASSIVITY_SLACK:
         raise PassivityError(f"|r1 r2| = {m} >= 1 on the {what} grid (active medium)")
-
-
-class _InnerScale:
-    """Running magnitude of the inner integrals, used as an absolute floor
-    so the outer tails are not resolved to pointless relative precision."""
-
-    def __init__(self):
-        self.value = 0.0
-
-    def update(self, v):
-        self.value = max(self.value, abs(v))
 
 
 def _double_integral(inner_many, cfg, outer_scale=1.0):
@@ -224,7 +213,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     parametrized k = i Q sin(phi) so the q = sqrt(Q^2 - s^2) endpoint
     singularity drops out) and then 0 -> infinity (propagating segment,
     truncated octave by octave once the oscillatory tail stops
-    contributing).  Practical accuracy is limited; intended as the
+    contributing).  The k-integrals of every Q node of one outer call run
+    in lockstep.  Practical accuracy is limited; intended as the
     contour-equivalence validation for dissipative models.
     """
     if L <= 0.0:
@@ -236,127 +226,135 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
                                max_subdivisions=cfg.max_subdivisions,
                                tail_check="none")
 
-    def evanescent(Qp):
-        # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
-        def g(phi):
-            s = Qp * np.sin(phi)
-            q = Qp * np.cos(phi)
-            omega = (C_LIGHT / L) * q
-            phase = np.exp(-2.0 * s)  # e^{2 i k L} with k = i s/L
-            kin = WaveKinematics.create(Qp / L, omega)
-            b = _round_trips(r1, r2, kin, phase)
-            neval[0] += phi.size
-            return -(Qp * np.sin(phi)) ** 2 * b.imag
+    def round_trips(Qp, q, phase):
+        kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
+        return _round_trips(r1, r2, kin, phase)
 
-        val, err = integrate(g, 0.0, 0.5 * np.pi, seg_cfg)
-        return val, err
-
-    def prop_piece(Qp, k_lo, k_hi, piece_cfg):
-        def g(kp):
-            q = np.sqrt(Qp * Qp + kp * kp)
-            omega = (C_LIGHT / L) * q
-            phase = np.exp(2j * kp)
-            kin = WaveKinematics.create(Qp / L, omega)
-            b = _round_trips(r1, r2, kin, phase)
-            neval[0] += kp.size
-            return (kp * kp / q) * b.real
-
-        return integrate(g, k_lo, k_hi, piece_cfg)
-
-    def envelope(Qp, k_lo, k_hi):
-        """Bound on |integral| of one oscillatory chunk, from the slowly
-        varying round-trip amplitude alone (integration by parts in the
-        e^{2ik} phase).  Returns inf when the bound is not usable."""
-        kp = np.array([k_lo, math.sqrt(k_lo * k_hi), k_hi])
+    def envelope(Qp, k):
+        """Bound on |integral| of each oscillatory chunk [k, 2k], from the
+        slowly varying round-trip amplitude alone (integration by parts in
+        the e^{2ik} phase); inf where the bound is not usable."""
+        kp = np.stack((k, np.sqrt(k * (2.0 * k)), 2.0 * k), axis=1).ravel()
+        Qp = np.repeat(Qp, 3)
         q = np.sqrt(Qp * Qp + kp * kp)
         kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
         rs1, rp1 = amplitudes_both(r1, kin)
         rs2, rp2 = amplitudes_both(r2, kin)
-        rho = np.abs(rs1 * rs2) + np.abs(rp1 * rp2)
-        if np.any(rho > 0.5):
-            return math.inf
-        return float(np.max((kp * kp / q) * rho / (1.0 - rho)))
+        rho = (np.abs(rs1 * rs2) + np.abs(rp1 * rp2)).reshape(-1, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.max((kp * kp / q).reshape(-1, 3) * rho / (1.0 - rho), axis=1)
+        return np.where(np.any(rho > 0.5, axis=1), np.inf, bound)
 
-    def inner(Qp, cfg_u):
-        # the propagating bulk and tail cancel almost completely at large
-        # Q'; every segment therefore runs on an absolute tolerance tied to
-        # the running magnitude of the inner integrals (cfg_u.atol), never
-        # on a tolerance relative to its own (possibly huge) value
-        ev_val, ev_err = evanescent(Qp)
-        k0 = max(4.0 * Qp, 8.0)
-        if cfg_u.atol > 0.0:
-            floor = cfg_u.atol
-        else:  # bootstrap call: rough pass sets the local magnitude
-            rough, _ = prop_piece(Qp, 0.0, k0, replace(seg_cfg, rtol=1e-3))
-            floor = (abs(rough) + abs(ev_val)) * target * 0.05
+    def inner_many(us, floor):
+        """The k-integrals at the outer nodes ``us``, all in lockstep.
+
+        The propagating bulk and tail cancel almost completely at large Q';
+        every segment therefore runs on the absolute tolerance ``floor``,
+        never on a tolerance relative to its own (possibly huge) value.  A
+        zero floor is bootstrapped from a rough pass.  Returns (values,
+        errors, failures); failures[i] is node i's ConvergenceError or None.
+        """
+        def evanescent(idx, phi):
+            # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
+            Qp = us[idx]
+            s = Qp * np.sin(phi)  # e^{2 i k L} = e^{-2 s} with k = i s/L
+            b = round_trips(Qp, Qp * np.cos(phi), np.exp(-2.0 * s))
+            neval[0] += phi.size
+            return -s * s * b.imag
+
+        def propagating(idx, kp):
+            Qp = us[idx]
+            q = np.sqrt(Qp * Qp + kp * kp)
+            b = round_trips(Qp, q, np.exp(2j * kp))
+            neval[0] += kp.size
+            return (kp * kp / q) * b.real
+
+        n = us.size
+        ev, ev_err, ev_ok = integrate_many(evanescent, np.zeros(n),
+                                           np.full(n, 0.5 * np.pi), seg_cfg)
+        k = np.maximum(4.0 * us, 8.0)
+        if not floor > 0.0:
+            rough, _, _ = integrate_many(propagating, np.zeros(n), k,
+                                         replace(seg_cfg, rtol=1e-3))
+            floor = float(np.min((np.abs(rough) + np.abs(ev)) * target * 0.05))
         abs_cfg = replace(seg_cfg, atol=floor, rtol=1e-5,
                           max_subdivisions=min(cfg.max_subdivisions, 1200))
-        try:
-            total, err = prop_piece(Qp, 0.0, k0, abs_cfg)
-        except ConvergenceError as exc:
-            total, err = exc.value, exc.error
-        k = k0
-        chunks = []
-        tail_bound = 0.0
-        prev_bound = math.inf
-        for _ in range(24):
-            bound = envelope(Qp, k, 2.0 * k)
-            if bound < floor:
-                # remaining octaves bounded by a ~1/k^2 geometric envelope
-                tail_bound = 1.5 * bound
-                break
-            if len(chunks) >= 3 and bound > floor and not bound < prev_bound:
-                # non-decaying round trip (e.g. constant r): the oscillatory
-                # tail is at best Abel-summable, never absolutely convergent
-                raise ConvergenceError(
+        # a spent budget in a propagating piece keeps its partial sum
+        total, err, _ = integrate_many(propagating, np.zeros(n), k, abs_cfg)
+        # atol only: individual octaves are O(1) and cancel in the sum,
+        # so a relative exit criterion would leave errors far above floor
+        oc_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
+        tail_bound = np.zeros(n)
+        prev_bound = np.full(n, np.inf)
+        chunks = [[] for _ in range(n)]
+        failures = [None] * n
+        live = np.arange(n)
+        for octave in range(24):
+            bound = envelope(us[live], k[live])
+            # remaining octaves bounded by a ~1/k^2 geometric envelope
+            settled = bound < floor
+            tail_bound[live[settled]] = 1.5 * bound[settled]
+            # non-decaying round trip (e.g. constant r): the oscillatory
+            # tail is at best Abel-summable, never absolutely convergent
+            stalled = (~settled & (octave >= 3) & (bound > floor)
+                       & ~(bound < prev_bound[live]))
+            for i, b in zip(live[stalled].tolist(), bound[stalled].tolist()):
+                failures[i] = ConvergenceError(
                     "propagating-tail contributions stopped decaying; the "
                     "real-frequency contour does not converge for this model",
-                    value=total + ev_val, error=err + ev_err + bound,
-                    partial_sums=chunks)
-            prev_bound = bound
-            # atol only: individual octaves are O(1) and cancel in the sum,
-            # so a relative exit criterion would leave errors far above floor
-            oc_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
-            try:
-                v, e = prop_piece(Qp, k, 2.0 * k, oc_cfg)
-            except ConvergenceError as exc:
-                v, e = exc.value, exc.error
-            total += v
-            err += e
-            chunks.append(v)
-            k *= 2.0
-        else:
-            raise ConvergenceError(
+                    value=total[i] + ev[i], error=err[i] + ev_err[i] + b,
+                    partial_sums=chunks[i])
+            prev_bound[live] = bound
+            live = live[~settled & ~stalled]
+            if not live.size:
+                break
+            v, e, _ = integrate_many(lambda j, kp: propagating(live[j], kp),
+                                     k[live], 2.0 * k[live], oc_cfg)
+            total[live] += v
+            err[live] += e
+            for i, x in zip(live.tolist(), v.tolist()):
+                chunks[i].append(x)
+            k[live] *= 2.0
+        for i in live.tolist():
+            failures[i] = ConvergenceError(
                 "oscillatory propagating tail did not settle within 24 octaves",
-                value=total + ev_val, error=err + ev_err + abs(chunks[-1]),
-                partial_sums=chunks)
-        return total + ev_val, err + ev_err + tail_bound
+                value=total[i] + ev[i], error=err[i] + ev_err[i] + abs(chunks[i][-1]),
+                partial_sums=chunks[i])
+        values = total + ev
+        errors = err + ev_err + tail_bound
+        for i, exc in enumerate(failures):
+            if exc is not None:
+                values[i], errors[i] = exc.value, exc.error
+            elif not ev_ok[i]:
+                failures[i] = ConvergenceError(
+                    "evanescent segment did not converge in "
+                    f"{seg_cfg.max_subdivisions} subdivisions",
+                    value=values[i], error=errors[i])
+        return values, errors, failures
 
-    outer_cfg = replace(cfg, rtol=target, tail_check="none")
-    scale = _InnerScale()
+    scale = [0.0]
     inner_rel = [0.0]
     converged = [True]
 
     def f(us):
-        out = np.empty_like(us)
-        for i, u in enumerate(us):
-            floor = scale.value * target * 0.3
-            try:
-                v, e = inner(float(u), replace(outer_cfg, atol=floor))
-            except ConvergenceError as exc:
-                converged[0] = False
-                v, e = exc.value, exc.error
-            scale.update(v)
-            if scale.value > 0.0:
-                inner_rel[0] = max(inner_rel[0], e / scale.value)
-            out[i] = u * v
-        return out
+        # one floor for every node of the call, from the running magnitude
+        # of the inner integrals at its start, so the outer tails are not
+        # resolved to pointless relative precision
+        values, errors, failures = inner_many(us, scale[0] * target * 0.3)
+        if any(failures):
+            converged[0] = False
+        scale[0] = max(scale[0], float(np.max(np.abs(values))))
+        if scale[0] > 0.0:
+            inner_rel[0] = max(inner_rel[0], float(np.max(errors)) / scale[0])
+        return us * values
 
     # seed the running magnitude near the peak so every later inner
     # integral gets a meaningful absolute floor; a failure here means the
     # whole contour is hopeless, so it propagates to the caller
-    v0, _ = inner(1.0, replace(outer_cfg, atol=0.0))
-    scale.update(v0)
+    v0, _, failures = inner_many(np.array([1.0]), 0.0)
+    if failures[0] is not None:
+        raise failures[0]
+    scale[0] = abs(float(v0[0]))
 
     # fixed coarse grid in Q' plus a few bounded refinement rounds; a fully
     # adaptive outer loop would chase the noise floor of the inner integrals

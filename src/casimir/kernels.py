@@ -9,7 +9,10 @@ import numpy as np
 
 
 def plasma_eps_iw(xi, omega_p):
-    return 1.0 + (omega_p / xi) ** 2
+    # r * r, not r ** 2: Python's float pow and numpy's square differ in
+    # the last bit for some r, and scalar and array xi must agree
+    r = omega_p / xi
+    return 1.0 + r * r
 
 
 def drude_eps_iw(xi, omega_p, gamma):

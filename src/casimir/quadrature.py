@@ -78,60 +78,124 @@ def _panel(fx, half):
     return value, err
 
 
+def _convergence_error(cfg, value, error):
+    return ConvergenceError(
+        f"quadrature did not converge in {cfg.max_subdivisions} "
+        f"subdivisions (estimate {value:.6g} +- {error:.3g})",
+        value=value, error=error)
+
+
 def integrate(f, a, b, cfg=None):
     """Integrate ``f`` over the finite interval [a, b].
 
     Returns ``(value, error_estimate)``.  Raises :class:`ConvergenceError`
     (with the best estimate attached) if the subdivision budget runs out.
+    The single-integrand case of :func:`integrate_many`.
     """
     cfg = cfg or QuadratureConfig()
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-
-    def eval_interval(lo, hi):
-        half = 0.5 * (hi - lo)
-        fx = np.asarray(f(lo + half * (_XGK + 1.0)), dtype=float)
-        if not np.all(np.isfinite(fx)):
-            raise DivergenceError(
-                f"integrand returned a non-finite value inside [{lo}, {hi}]")
-        with np.errstate(**_PANEL_ERRSTATE):
-            return _panel(fx, half)
-
-    val, err = eval_interval(a, b)
-    # heap entries: (-err, tiebreak, lo, hi, val, err)
-    heap = [(-err, 0, a, b, val, err)]
-    total_val, total_err = val, err
-    seq = 1
-    n_sub = 1
-    while total_err > max(cfg.atol, cfg.rtol * abs(total_val)):
-        if n_sub >= cfg.max_subdivisions:
-            value = _ordered_sum(heap, 4)
-            raise ConvergenceError(
-                f"quadrature did not converge in {cfg.max_subdivisions} "
-                f"subdivisions (estimate {value:.6g} +- {total_err:.3g})",
-                value=value, error=total_err)
-        neg_err, _, lo, hi, v_old, e_old = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        # both halves in one vectorized call
-        h1 = 0.5 * (mid - lo)
-        h2 = 0.5 * (hi - mid)
-        xs = np.concatenate((lo + h1 * (_XGK + 1.0), mid + h2 * (_XGK + 1.0)))
-        fx = np.asarray(f(xs), dtype=float)
-        with np.errstate(**_PANEL_ERRSTATE):
-            v1, e1 = _panel(fx[:15], h1)
-            v2, e2 = _panel(fx[15:], h2)
-        total_val += v1 + v2 - v_old
-        total_err += e1 + e2 - e_old
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
-        seq += 2
-        n_sub += 1
-    return _ordered_sum(heap, 4), total_err
+    values, errors, ok = integrate_many(lambda idx, x: f(x), [a], [b], cfg)
+    value, error = float(values[0]), float(errors[0])
+    if not ok[0]:
+        raise _convergence_error(cfg, value, error)
+    return value, error
 
 
 def _ordered_sum(heap, idx):
     """Deterministic left-to-right resummation of the interval list."""
     return float(sum(entry[idx] for entry in sorted(heap, key=lambda t: t[2])))
+
+
+def _evaluate(f, idx, xs, lo, hi):
+    """``f(idx, xs)`` as float rows, one row per integral of the round;
+    every value is checked, and a non-finite one is a DivergenceError
+    naming its row's interval [lo[j], hi[j]]."""
+    fx = np.asarray(f(idx, xs.ravel()), dtype=float).reshape(xs.shape)
+    finite = np.isfinite(fx)
+    if not finite.all():
+        j = int(np.argmin(finite.all(axis=1)))
+        raise DivergenceError(
+            f"integrand returned a non-finite value inside [{lo[j]}, {hi[j]}]")
+    return fx
+
+
+def integrate_many(f, lo, hi, cfg=None):
+    """Integrate ``len(lo)`` integrands over [lo[i], hi[i]] in lockstep.
+
+    ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``.  Every integral
+    keeps its own GK15 interval heap, stopping rule, subdivision budget and
+    error estimate, so each value and error equals what the integral gets
+    alone; only the calls to ``f`` are shared, one per bisection round
+    holding the 30 new nodes of every unconverged integral.  Every value
+    ``f`` returns is checked: a non-finite one raises
+    :class:`DivergenceError`.
+
+    Returns ``(values, errors, ok)`` arrays.  Where the subdivision budget
+    runs out ``ok[i]`` is False and ``values[i]``, ``errors[i]`` are the
+    partial sum and running error that :func:`integrate`'s
+    :class:`ConvergenceError` carries.
+    """
+    cfg = cfg or QuadratureConfig()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if (lo.ndim != 1 or lo.shape != hi.shape
+            or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))):
+        raise ValueError(f"need finite lo < hi, got {lo}, {hi}")
+    n = lo.size
+    half = 0.5 * (hi - lo)
+    xs = lo[:, None] + half[:, None] * (_XGK + 1.0)
+    fx = _evaluate(f, np.repeat(np.arange(n), _XGK.size), xs, lo, hi)
+    heaps, total_val, total_err = [], [], []
+    with np.errstate(**_PANEL_ERRSTATE):
+        for i, (a, b, h) in enumerate(zip(lo.tolist(), hi.tolist(), half.tolist())):
+            val, err = _panel(fx[i], h)
+            # heap entries: (-err, tiebreak, lo, hi, val, err)
+            heaps.append([(-err, 0, a, b, val, err)])
+            total_val.append(val)
+            total_err.append(err)
+
+    values = np.empty(n)
+    errors = np.empty(n)
+    ok = np.ones(n, dtype=bool)
+    seq = [1] * n
+    n_sub = [1] * n
+    active = range(n)
+    while active:
+        live, popped = [], []
+        for i in active:
+            done = not total_err[i] > max(cfg.atol, cfg.rtol * abs(total_val[i]))
+            if done or n_sub[i] >= cfg.max_subdivisions:
+                values[i], errors[i] = _ordered_sum(heaps[i], 4), total_err[i]
+                ok[i] = done
+            else:
+                live.append(i)
+                popped.append(heapq.heappop(heaps[i]))
+        if not live:
+            break
+        a = np.array([entry[2] for entry in popped])
+        b = np.array([entry[3] for entry in popped])
+        mid = 0.5 * (a + b)
+        h1 = 0.5 * (mid - a)
+        h2 = 0.5 * (b - mid)
+        xs = np.concatenate((a[:, None] + h1[:, None] * (_XGK + 1.0),
+                             mid[:, None] + h2[:, None] * (_XGK + 1.0)), axis=1)
+        fx = _evaluate(f, np.repeat(live, 2 * _XGK.size), xs, a, b)
+        mids, h1s, h2s = mid.tolist(), h1.tolist(), h2.tolist()
+        with np.errstate(**_PANEL_ERRSTATE):
+            for j, i in enumerate(live):
+                _, _, lo_i, hi_i, v_old, e_old = popped[j]
+                mid_i = mids[j]
+                v1, e1 = _panel(fx[j, :15], h1s[j])
+                v2, e2 = _panel(fx[j, 15:], h2s[j])
+                total_val[i] += v1 + v2 - v_old
+                total_err[i] += e1 + e2 - e_old
+                heapq.heappush(heaps[i], (-e1, seq[i], lo_i, mid_i, v1, e1))
+                heapq.heappush(heaps[i], (-e2, seq[i] + 1, mid_i, hi_i, v2, e2))
+                seq[i] += 2
+                n_sub[i] += 1
+        active = live
+    return values, errors, ok
 
 
 def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
@@ -149,10 +213,7 @@ def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
         lambda idx, x: f(x), a, [scale], cfg)
     value, error = float(values[0]), float(errors[0])
     if not ok[0]:
-        raise ConvergenceError(
-            f"quadrature did not converge in {cfg.max_subdivisions} "
-            f"subdivisions (estimate {value:.6g} +- {error:.3g})",
-            value=value, error=error)
+        raise _convergence_error(cfg, value, error)
     return value, error
 
 
@@ -160,18 +221,11 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
     """Integrate ``len(scales)`` integrands over [a, inf) in lockstep.
 
     ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``; integrand ``i``
-    is mapped to (0, 1) by x = a + scales[i] u/(1-u).  Every integral keeps
-    its own interval heap, stopping rule, subdivision budget, tail check and
-    error estimate, so each value and error equals what
-    :func:`integrate_semi_infinite` returns for that integrand alone; only
-    the calls to ``f`` are shared, one per bisection round holding the 30
-    new nodes of every unconverged integral.
-
-    Returns ``(values, errors, ok)`` arrays.  Where the subdivision budget
-    runs out ``ok[i]`` is False and ``values[i]``, ``errors[i]`` are the
-    partial sum and running error that the scalar routine's
-    :class:`ConvergenceError` carries.  A non-decaying or non-finite
-    integrand raises :class:`DivergenceError` as the scalar routine does.
+    is mapped to (0, 1) by x = a + scales[i] u/(1-u) and the mapped
+    integrands run through :func:`integrate_many`, after a sample check
+    that each one decays (cfg.tail_check).  Returns ``(values, errors, ok)``
+    as :func:`integrate_many` does.  A non-decaying or non-finite integrand
+    raises :class:`DivergenceError`.
     """
     cfg = cfg or QuadratureConfig()
     scales = np.asarray(scales, dtype=float)
@@ -198,61 +252,7 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.asarray(f(idx, a + s * u / omu) * (s / (omu * omu)), dtype=float)
 
-    # the first panel [0, 1] of every integral; as in integrate(), only the
-    # first panel is checked for non-finite values
-    fx = g(np.repeat(np.arange(n), _XGK.size), np.tile(0.5 * (_XGK + 1.0), n))
-    if not np.all(np.isfinite(fx)):
-        raise DivergenceError(
-            "integrand returned a non-finite value inside [0.0, 1.0]")
-    heaps, total_val, total_err = [], [], []
-    with np.errstate(**_PANEL_ERRSTATE):
-        for row in fx.reshape(n, _XGK.size):
-            val, err = _panel(row, 0.5)
-            heaps.append([(-err, 0, 0.0, 1.0, val, err)])
-            total_val.append(val)
-            total_err.append(err)
-
-    values = np.empty(n)
-    errors = np.empty(n)
-    ok = np.ones(n, dtype=bool)
-    seq = [1] * n
-    n_sub = [1] * n
-    active = range(n)
-    while active:
-        live, popped = [], []
-        for i in active:
-            done = not total_err[i] > max(cfg.atol, cfg.rtol * abs(total_val[i]))
-            if done or n_sub[i] >= cfg.max_subdivisions:
-                values[i], errors[i] = _ordered_sum(heaps[i], 4), total_err[i]
-                ok[i] = done
-            else:
-                live.append(i)
-                popped.append(heapq.heappop(heaps[i]))
-        if not live:
-            break
-        lo = np.array([entry[2] for entry in popped])
-        hi = np.array([entry[3] for entry in popped])
-        mid = 0.5 * (lo + hi)
-        h1 = 0.5 * (mid - lo)
-        h2 = 0.5 * (hi - mid)
-        xs = np.concatenate((lo[:, None] + h1[:, None] * (_XGK + 1.0),
-                             mid[:, None] + h2[:, None] * (_XGK + 1.0)), axis=1)
-        fx = g(np.repeat(live, 2 * _XGK.size), xs.ravel()).reshape(len(live), -1)
-        mids, h1s, h2s = mid.tolist(), h1.tolist(), h2.tolist()
-        with np.errstate(**_PANEL_ERRSTATE):
-            for j, i in enumerate(live):
-                _, _, lo_i, hi_i, v_old, e_old = popped[j]
-                mid_i = mids[j]
-                v1, e1 = _panel(fx[j, :15], h1s[j])
-                v2, e2 = _panel(fx[j, 15:], h2s[j])
-                total_val[i] += v1 + v2 - v_old
-                total_err[i] += e1 + e2 - e_old
-                heapq.heappush(heaps[i], (-e1, seq[i], lo_i, mid_i, v1, e1))
-                heapq.heappush(heaps[i], (-e2, seq[i] + 1, mid_i, hi_i, v2, e2))
-                seq[i] += 2
-                n_sub[i] += 1
-        active = live
-    return values, errors, ok
+    return integrate_many(g, np.zeros(n), np.ones(n), cfg)
 
 
 def panel_results(f, edges):

@@ -284,9 +284,7 @@ class FresnelReflection(ReflectionModel):
         kernel does not reproduce to the last digit.
         """
         xi = np.asarray(xi, dtype=float)
-        # scalar calls: the array branch of some analytic eval_iw differs
-        # from the scalar one in the last bit
-        eps = np.array([float(self.dielectric.eval_iw(x)) for x in xi.tolist()])
+        eps = np.asarray(self.dielectric.eval_iw(xi), dtype=float)
         if not isinstance(self.dielectric, Tabulated):
             def amplitudes(idx, Q):
                 return kernels.fresnel_rs_rp_iw(eps[idx], xi[idx] / C_LIGHT, Q)

@@ -18,8 +18,9 @@ _RES_TOL = 1e-13
 
 
 def default_eta(k, L):
-    """Concrete stand-in for the i0+ broadening, 1e-6 * max(k, pi/L)."""
-    return 1e-6 * max(k, np.pi / L)
+    """Concrete stand-in for the i0+ broadening, 1e-6 * max(k, pi/L);
+    broadcasts over an array ``k``."""
+    return 1e-6 * np.maximum(k, np.pi / L)
 
 
 @dataclass(frozen=True)
@@ -99,20 +100,23 @@ def dos(pol, Q, k, r1, r2, L, eta=0.0):
 
     rho = 1/(2 pi k) * Re[(1 + r1 r2 e^{2i kt L}) / (1 - r1 r2 e^{2i kt L})]
     with kt = k + i eta.  ``pol`` tags which polarization's amplitudes were
-    passed in; the total DOS is the s + p sum.
+    passed in; the total DOS is the s + p sum.  Broadcasts over arrays of
+    ``k``, ``r1``, ``r2`` and ``eta``; scalar arguments give a float.
     """
     if pol not in ("s", "p"):
         raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
     del Q
-    if k <= 0.0:
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0.0):
         raise ValueError("k must be > 0")
-    if eta < 0.0:
+    if np.any(np.asarray(eta) < 0.0):
         raise ValueError("eta must be >= 0")
     x = r1 * r2 * np.exp(2j * (k + 1j * eta) * L)
     den = 1.0 - x
-    if abs(den) <= _RES_TOL:
+    if np.any(np.abs(den) <= _RES_TOL):
         raise ResonanceError("cavity resonance in the DOS denominator; use eta > 0")
-    return float(np.real((1.0 + x) / den)) / (2.0 * np.pi * k)
+    rho = np.real((1.0 + x) / den) / (2.0 * np.pi * k)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def dos_from_greens(Q, k, r1, r2, L, eta=0.0):

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from casimir import Drude, FresnelReflection, PerfectMirror, force_imag_axis
-from casimir.cli import main, parse_config, read_table_csv, run_sweep, write_table
+from casimir import Drude, FresnelReflection, PerfectMirror, dos, force_imag_axis
+from casimir.cli import dos_table, main, parse_config, read_table_csv, run_sweep, write_table
+from casimir.constants import C_LIGHT
+from casimir.spectrum import default_eta
 from casimir.errors import ConfigError
 
 MIRROR_CFG = """
@@ -195,3 +197,39 @@ output: {format: csv, path: out.csv}
     out = tmp_path / "ml.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert read_table_csv(out)[0]["pressure_Pa"] < 0.0
+
+
+@pytest.mark.parametrize("slab", ["{type: mirror}",
+                                  "{type: fresnel, material: {model: drude, "
+                                  "omega_p: 1.0e16, gamma: 1.0e14}}",
+                                  "{type: constant, rs: 0.0, rp: 0.0}"],
+                         ids=["mirror", "drude", "free"])
+def test_dos_table_matches_scalar_dos_per_row(tmp_path, slab):
+    cfg = parse_config(_write(tmp_path, f"""
+slab1: {slab}
+slab2: {slab}
+dos: {{L: 1.0e-6, Q: 2.0e6, points: 300}}
+"""))
+    rows = dos_table(cfg)
+    assert len(rows) == 300
+    for row in rows:
+        k = row["k_1_per_m"]
+        omega = C_LIGHT * float(np.hypot(2.0e6, k))
+        for pol in ("s", "p"):
+            r1 = complex(np.ravel(cfg.slab1.amplitude(pol, 2.0e6, omega))[0])
+            r2 = complex(np.ravel(cfg.slab2.amplitude(pol, 2.0e6, omega))[0])
+            want = dos(pol, 2.0e6, k, r1, r2, 1.0e-6, default_eta(k, 1.0e-6))
+            assert row[f"rho_{pol}"] == pytest.approx(want, rel=1e-12)
+        assert row["rho_total"] == row["rho_s"] + row["rho_p"]
+
+
+def test_dos_without_broadening_on_a_resonance_exits_3(tmp_path, capsys):
+    # the first sample k = pi / L is a mirror-cavity mode
+    cfg = _write(tmp_path, """
+slab1: {type: mirror}
+slab2: {type: mirror}
+dos: {L: 1.0e-6, points: 6, eta: 0.0}
+""")
+    assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 3
+    assert "resonance" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()

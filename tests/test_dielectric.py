@@ -177,3 +177,10 @@ def test_kk_continuation_of_insulator_data():
     for xi in np.geomspace(1e13, 1e17, 9):
         got = permittivity_from_table(table, xi)
         assert got == pytest.approx(float(osc.eval_iw(xi)), rel=1e-2)
+
+
+@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA)], ids=["plasma", "drude"])
+def test_scalar_and_array_eval_iw_agree_bit_for_bit(model):
+    xi = np.geomspace(1e12, 1e18, 20000)
+    scalar = np.array([model.eval_iw(x) for x in xi.tolist()])
+    assert np.array_equal(model.eval_iw(xi), scalar)

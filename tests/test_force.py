@@ -157,6 +157,18 @@ def test_real_axis_contour_matches_imag_axis_for_lossy_metal():
     assert res.pressure == pytest.approx(ref, rel=1e-3)
 
 
+@pytest.mark.parametrize("L", [10e-9, 15e-9, 20e-9])
+def test_real_axis_error_covers_deviation_and_is_deterministic(L):
+    # every Q' node of one outer call shares one absolute floor, so the
+    # result cannot depend on the order in which nodes are visited
+    m = FresnelReflection(Drude(1e16, 1e14))
+    ref = force_imag_axis(m, m, L, QuadratureConfig(rtol=1e-10)).pressure
+    res = force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3))
+    assert res.converged
+    assert res.error >= abs(res.pressure - ref)
+    assert force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3)) == res
+
+
 def test_real_axis_rejects_nondecaying_round_trip():
     # constant reflection never decays along the real axis: only Abel
     # summable, so the literal contour must refuse with partial sums

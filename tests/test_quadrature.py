@@ -1,9 +1,18 @@
+import heapq
+
 import numpy as np
 import pytest
 
 from casimir import ConvergenceError, QuadratureConfig, integrate, integrate_semi_infinite
 from casimir.errors import DivergenceError
-from casimir.quadrature import fixed_panels, integrate_semi_infinite_many, panel_results
+from casimir.quadrature import (
+    _XGK,
+    _panel,
+    fixed_panels,
+    integrate_many,
+    integrate_semi_infinite_many,
+    panel_results,
+)
 
 
 def test_polynomial_is_exact():
@@ -186,3 +195,95 @@ def test_semi_infinite_is_integrate_on_the_mapped_integrand():
             assert str(got.value) == str(exc)
             continue
         assert integrate_semi_infinite(f, a, cfg, scale=s) == want
+
+
+def _heap_loop(f, a, b, cfg):
+    """The one-integral GK15 bisection loop, written out on its own."""
+    def panel(lo, hi):
+        half = 0.5 * (hi - lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _panel(np.asarray(f(lo + half * (_XGK + 1.0)), dtype=float), half)
+
+    val, err = panel(a, b)
+    heap = [(-err, 0, a, b, val, err)]
+    total_val, total_err, seq, n_sub = val, err, 1, 1
+    while total_err > max(cfg.atol, cfg.rtol * abs(total_val)):
+        value = float(sum(e[4] for e in sorted(heap, key=lambda t: t[2])))
+        if n_sub >= cfg.max_subdivisions:
+            return value, total_err, False
+        _, _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1 = panel(lo, mid)
+        v2, e2 = panel(mid, hi)
+        total_val += v1 + v2 - v_old
+        total_err += e1 + e2 - e_old
+        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+        heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+        seq += 2
+        n_sub += 1
+    return float(sum(e[4] for e in sorted(heap, key=lambda t: t[2]))), total_err, True
+
+
+_FINITE_CASES = ((np.sin, 0.0, 20.0),
+                 (lambda x: 1.0 / np.sqrt(x), 1e-30, 1.0),
+                 (lambda x: np.exp(-x) * np.cos(7.0 * x), -1.0, 3.0),
+                 (lambda x: np.cos(50.0 * x ** 2), 0.0, 10.0))
+
+
+def test_integrate_many_equals_a_loop_of_integrate():
+    # different intervals; the endpoint singularity and the chirp run out
+    # of budget
+    cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=40)
+    funcs = [case[0] for case in _FINITE_CASES]
+    lo = [case[1] for case in _FINITE_CASES]
+    hi = [case[2] for case in _FINITE_CASES]
+    values, errors, ok = integrate_many(_batch(funcs), lo, hi, cfg)
+    assert ok.tolist() == [True, False, True, False]
+    for i, (f, a, b) in enumerate(_FINITE_CASES):
+        try:
+            want = integrate(f, a, b, cfg)
+        except ConvergenceError as exc:
+            want = (exc.value, exc.error)
+        assert (values[i], errors[i]) == want
+
+
+def test_integrate_is_the_heap_loop_bit_for_bit():
+    cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=40)
+    for f, a, b in _FINITE_CASES:
+        value, error, ok = _heap_loop(f, a, b, cfg)
+        if ok:
+            assert integrate(f, a, b, cfg) == (value, error)
+            continue
+        with pytest.raises(ConvergenceError) as exc_info:
+            integrate(f, a, b, cfg)
+        exc = exc_info.value
+        assert (exc.value, exc.error) == (value, error)
+        assert str(exc) == ("quadrature did not converge in 40 subdivisions "
+                            f"(estimate {value:.6g} +- {error:.3g})")
+
+
+def test_integrate_keeps_its_argument_and_divergence_errors():
+    for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="need finite a < b"):
+            integrate(np.exp, a, b)
+    with pytest.raises(DivergenceError, match=r"non-finite value inside \[0.0, 1.0\]"):
+        integrate(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+    with pytest.raises(ValueError, match="need finite lo < hi"):
+        integrate_many(_batch([np.exp, np.exp]), [0.0, 1.0], [1.0, 0.5])
+
+
+def _nan_inside(x):
+    return np.where(abs(x - 0.33) < 0.02, np.nan, np.sin(40 * x))
+
+
+def test_nan_during_bisection_is_a_divergence():
+    # the first panel's nodes miss the NaN strip; bisection finds it
+    with pytest.raises(DivergenceError, match="non-finite"):
+        integrate(_nan_inside, 0.0, 1.0, QuadratureConfig(rtol=1e-10))
+    with pytest.raises(DivergenceError, match="non-finite"):
+        integrate_many(_batch([np.cos, _nan_inside]), [0.0, 0.0], [1.0, 1.0],
+                       QuadratureConfig(rtol=1e-10))
+    # the same strip seen through the semi-infinite map, at x = 0.33 / 0.67
+    with pytest.raises(DivergenceError, match="non-finite"):
+        integrate_semi_infinite(lambda x: _nan_inside(x / (1.0 + x)) * np.exp(-x), 0.0,
+                                QuadratureConfig(rtol=1e-10, tail_check="none"))

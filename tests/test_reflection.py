@@ -185,8 +185,8 @@ def test_imag_axis_continues_tabulated_eps_once_per_node(monkeypatch):
 
 
 def test_fresnel_imag_axis_matches_per_node_scalar_eps_bit_for_bit():
-    # Plasma.eval_iw's array branch differs from its scalar one in the last
-    # bit for a few xi; binding must give what one node at a time gives
+    # binding the nodes as one array must give, to the bit, what one node
+    # at a time gives (Plasma's scalar and array eval_iw share one formula)
     model = FresnelReflection(Plasma(WP))
     xi = np.geomspace(1e12, 1e18, 20000)
     Q = np.full(xi.size, 1e6)

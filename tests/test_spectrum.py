@@ -133,3 +133,23 @@ def test_input_validation():
         dos("s", 0.0, -1e6, 0.0, 0.0, L)
     with pytest.raises(ValueError):
         green_electric(-1e-9, 0.5 * L, 0.0, 1e6, 0.0, 0.0, L)
+
+
+def test_dos_broadcasts_like_its_scalar_form():
+    rng = np.random.default_rng(29)
+    ks = rng.uniform(1e5, 2e7, 300)
+    r1 = rng.uniform(0.0, 1.0, ks.size) * np.exp(2j * np.pi * rng.uniform(size=ks.size))
+    r2 = -0.7 + 0.1j
+    eta = default_eta(ks, L)
+    rho = dos("p", 0.0, ks, r1, r2, L, eta)
+    assert isinstance(dos("p", 0.0, float(ks[0]), complex(r1[0]), r2, L), float)
+    want = [dos("p", 0.0, float(k), complex(a), r2, L, float(e))
+            for k, a, e in zip(ks, r1, eta)]
+    assert rho == pytest.approx(want, rel=1e-14)
+    # validation and the resonance check act on every element
+    with pytest.raises(ValueError, match="k must be > 0"):
+        dos("s", 0.0, np.array([1e6, 0.0]), 0.0, 0.0, L)
+    with pytest.raises(ValueError, match="eta must be >= 0"):
+        dos("s", 0.0, np.array([1e6, 2e6]), 0.0, 0.0, L, np.array([0.0, -1.0]))
+    with pytest.raises(ResonanceError):
+        dos("s", 0.0, np.array([0.5, 1.0]) * np.pi / L, -1.0, -1.0, L, 0.0)
