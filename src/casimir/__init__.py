@@ -44,8 +44,6 @@ from .reflection import (
     WaveKinematics,
     fresnel,
     impedance_to_reflection,
-    multilayer_reflection,
-    perfect_mirror,
     vacuum_impedance,
 )
 from .spectrum import ModeFunctions, dos, dos_from_greens, green_electric, green_magnetic

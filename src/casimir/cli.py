@@ -40,6 +40,7 @@ from .reflection import (
     LayerStack,
     MultilayerReflection,
     PerfectMirror,
+    WaveKinematics,
 )
 from .spectrum import default_eta, dos
 
@@ -51,8 +52,6 @@ _PATHS = ("imaginary-axis", "real-axis", "lifshitz", "all")
 class RunConfig:
     slab1: object
     slab2: object
-    diel1: DielectricModel | None
-    diel2: DielectricModel | None
     sweep_min: float
     sweep_max: float
     sweep_points: int
@@ -170,7 +169,7 @@ def _parse_material(node, context, base_dir) -> DielectricModel:
 
 
 def _parse_slab(node, context, base_dir):
-    """Returns (ReflectionModel, DielectricModel-or-None)."""
+    """The ReflectionModel a ``slab1``/``slab2`` section describes."""
     node = _expect_mapping(node, context)
     _check_keys(node, context,
                 {"type", "material", "rs", "rp", "layers", "substrate"},
@@ -178,15 +177,15 @@ def _parse_slab(node, context, base_dir):
     kind = node["type"]
     if kind == "mirror":
         _check_keys(node, context, {"type"})
-        return PerfectMirror(), None
+        return PerfectMirror()
     if kind == "constant":
         _check_keys(node, context, {"type", "rs", "rp"}, required=("rs", "rp"))
         return ConstantReflection(r_s=complex(_number(node, context, "rs")),
-                                  r_p=complex(_number(node, context, "rp"))), None
+                                  r_p=complex(_number(node, context, "rp")))
     if kind == "fresnel":
         _check_keys(node, context, {"type", "material"}, required=("material",))
-        diel = _parse_material(node["material"], f"{context}.material", base_dir)
-        return FresnelReflection(dielectric=diel), diel
+        return FresnelReflection(
+            dielectric=_parse_material(node["material"], f"{context}.material", base_dir))
     if kind == "multilayer":
         _check_keys(node, context, {"type", "layers", "substrate"},
                     required=("layers", "substrate"))
@@ -209,7 +208,7 @@ def _parse_slab(node, context, base_dir):
             stack = LayerStack(layers=tuple(layers), substrate=substrate)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"section '{context}': {exc}") from exc
-        return MultilayerReflection(stack=stack), None
+        return MultilayerReflection(stack=stack)
     raise ConfigError(
         f"key '{context}.type' must be one of mirror|constant|fresnel|multilayer, "
         f"got {kind!r}")
@@ -230,12 +229,10 @@ def parse_config(path) -> RunConfig:
                 required=("slab1", "slab2"))
     base_dir = path.parent
 
-    slab1, diel1 = _parse_slab(doc["slab1"], "slab1", base_dir)
+    slab1 = _parse_slab(doc["slab1"], "slab1", base_dir)
     # identical slabs share one model, so the force paths can see r2 is r1
-    if doc["slab2"] == doc["slab1"]:
-        slab2, diel2 = slab1, diel1
-    else:
-        slab2, diel2 = _parse_slab(doc["slab2"], "slab2", base_dir)
+    same = doc["slab2"] == doc["slab1"]
+    slab2 = slab1 if same else _parse_slab(doc["slab2"], "slab2", base_dir)
 
     sweep = _expect_mapping(doc.get("sweep", {}), "sweep")
     _check_keys(sweep, "sweep", {"min", "max", "points", "spacing"})
@@ -256,7 +253,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"key 'path' must be one of {_PATHS}, got {path_choice!r}")
     paths = ("imaginary-axis", "lifshitz", "real-axis") if path_choice == "all" \
         else (path_choice,)
-    if "lifshitz" in paths and (diel1 is None or diel2 is None):
+    if "lifshitz" in paths and any(doc[s]["type"] != "fresnel" for s in ("slab1", "slab2")):
         raise ConfigError(
             "key 'path': the lifshitz path needs both slabs of type 'fresnel'")
 
@@ -300,10 +297,10 @@ def parse_config(path) -> RunConfig:
         if dos_params["eta"] is not None:
             dos_params["eta"] = _number(d, "dos", "eta", minimum=-1.0)
 
-    return RunConfig(slab1=slab1, slab2=slab2, diel1=diel1, diel2=diel2,
-                     sweep_min=s_min, sweep_max=s_max, sweep_points=points,
-                     sweep_spacing=spacing, paths=paths, quadrature=qcfg,
-                     out_format=fmt, out_path=out_path, dos_params=dos_params)
+    return RunConfig(slab1=slab1, slab2=slab2, sweep_min=s_min, sweep_max=s_max,
+                     sweep_points=points, sweep_spacing=spacing, paths=paths,
+                     quadrature=qcfg, out_format=fmt, out_path=out_path,
+                     dos_params=dos_params)
 
 
 def run_sweep(cfg: RunConfig):
@@ -317,8 +314,8 @@ def run_sweep(cfg: RunConfig):
                 elif path_tag == "real-axis":
                     res = force_real_axis(cfg.slab1, cfg.slab2, float(L), cfg.quadrature)
                 else:
-                    res = lifshitz_force(cfg.diel1, cfg.diel2, Vacuum(), float(L),
-                                         cfg.quadrature)
+                    res = lifshitz_force(cfg.slab1.dielectric, cfg.slab2.dielectric,
+                                         Vacuum(), float(L), cfg.quadrature)
                 status = "ok" if res.converged else "non-converged"
                 rows.append({"L_m": float(L), "pressure_Pa": res.pressure,
                              "err_Pa": res.error, "eta_red": res.reduction,
@@ -339,14 +336,12 @@ def dos_table(cfg: RunConfig):
     L, Q, k_max, points = p["L"], p["Q"], p["k_max"], p["points"]
     ks = np.linspace(k_max / points, k_max, points)
     eta = p["eta"] if p["eta"] is not None else default_eta(ks, L)
-    omega = C_LIGHT * np.hypot(Q, ks)
-    rho = {}
-    for pol in ("s", "p"):
-        r1 = np.asarray(cfg.slab1.amplitude(pol, Q, omega), dtype=complex)
-        r2 = np.asarray(cfg.slab2.amplitude(pol, Q, omega), dtype=complex)
-        rho[pol] = dos(pol, Q, ks, r1, r2, L, eta).tolist()
+    kin = WaveKinematics.create(Q, C_LIGHT * np.hypot(Q, ks))
+    (rs1, rp1), (rs2, rp2) = cfg.slab1.pair(kin), cfg.slab2.pair(kin)
+    rho_s = dos("s", Q, ks, rs1, rs2, L, eta).tolist()
+    rho_p = dos("p", Q, ks, rp1, rp2, L, eta).tolist()
     return [{"k_1_per_m": k, "rho_s": rs, "rho_p": rp, "rho_total": rs + rp}
-            for k, rs, rp in zip(ks.tolist(), rho["s"], rho["p"])]
+            for k, rs, rp in zip(ks.tolist(), rho_s, rho_p)]
 
 
 def _fmt(value):

@@ -44,10 +44,19 @@ class DielectricModel:
         raise NotImplementedError
 
     def eval_iw(self, xi):
-        """Real permittivity on the imaginary axis, eps(i*xi), xi > 0."""
+        """Real permittivity on the imaginary axis, eps(i*xi), xi > 0.
+
+        A Python float for scalar ``xi``, else an array of its shape.
+        """
         xi = np.asarray(xi, dtype=float)
         if np.any(xi <= 0.0):
             raise FrequencyDomainError("xi must be > 0 on the imaginary axis")
+        if xi.ndim == 0:
+            return float(self._eval_iw(float(xi)))
+        return self._eval_iw(xi)
+
+    def _eval_iw(self, xi):
+        """eps(i*xi) at validated ``xi`` (a float or an array)."""
         return np.real(self.eval(1j * xi))
 
 
@@ -88,12 +97,7 @@ class Plasma(DielectricModel):
         f = np.asarray(freq, dtype=complex)
         return 1.0 - (self.omega_p / f) ** 2
 
-    def eval_iw(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0.0):
-            raise FrequencyDomainError("xi must be > 0 on the imaginary axis")
-        if xi.ndim == 0:
-            return float(kernels.plasma_eps_iw(float(xi), self.omega_p))
+    def _eval_iw(self, xi):
         return kernels.plasma_eps_iw(xi, self.omega_p)
 
 
@@ -113,12 +117,7 @@ class Drude(DielectricModel):
         f = np.asarray(freq, dtype=complex)
         return 1.0 - self.omega_p ** 2 / (f * (f + 1j * self.gamma))
 
-    def eval_iw(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0.0):
-            raise FrequencyDomainError("xi must be > 0 on the imaginary axis")
-        if xi.ndim == 0:
-            return float(kernels.drude_eps_iw(float(xi), self.omega_p, self.gamma))
+    def _eval_iw(self, xi):
         return kernels.drude_eps_iw(xi, self.omega_p, self.gamma)
 
 
@@ -288,8 +287,6 @@ class Tabulated(DielectricModel):
             raise FrequencyDomainError("real frequency outside the tabulated grid")
         return np.interp(om, tb.omega, tb.re_eps) + 1j * np.interp(om, tb.omega, tb.im_eps)
 
-    def eval_iw(self, xi):
-        xi_arr = np.asarray(xi, dtype=float)
-        vals = np.array([permittivity_from_table(self.table, x)
-                         for x in np.atleast_1d(xi_arr)])
-        return vals.reshape(xi_arr.shape) if xi_arr.ndim else float(vals[0])
+    def _eval_iw(self, xi):
+        return np.array([permittivity_from_table(self.table, x)
+                         for x in np.ravel(xi)]).reshape(np.shape(xi))

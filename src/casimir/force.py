@@ -33,7 +33,7 @@ from .quadrature import (
     integrate_semi_infinite_many,
     panel_results,
 )
-from .reflection import ReflectionModel, WaveKinematics, amplitudes_both
+from .reflection import ReflectionModel, WaveKinematics
 
 _PASSIVITY_SLACK = 1e-9
 
@@ -192,8 +192,8 @@ def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
 
 def _round_trips(r1, r2, kin, phase):
     """Polarization-summed g/(1-g) with g = r1 r2 * phase at shared kinematics."""
-    rs1, rp1 = amplitudes_both(r1, kin)
-    rs2, rp2 = amplitudes_both(r2, kin)
+    rs1, rp1 = r1.pair(kin)
+    rs2, rp2 = r2.pair(kin)
     out = 0.0
     for g in (rs1 * rs2 * phase, rp1 * rp2 * phase):
         den = 1.0 - g
@@ -238,8 +238,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         Qp = np.repeat(Qp, 3)
         q = np.sqrt(Qp * Qp + kp * kp)
         kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
-        rs1, rp1 = amplitudes_both(r1, kin)
-        rs2, rp2 = amplitudes_both(r2, kin)
+        rs1, rp1 = r1.pair(kin)
+        rs2, rp2 = r2.pair(kin)
         rho = (np.abs(rs1 * rs2) + np.abs(rp1 * rp2)).reshape(-1, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.max((kp * kp / q).reshape(-1, 3) * rho / (1.0 - rho), axis=1)

@@ -65,11 +65,7 @@ def vacuum_impedance(pol: str, kin: WaveKinematics):
         raise SingularKinematicsError(
             "grazing kinematics k = 0 (Q = omega/c); integration grids must "
             "not sample this point")
-    if pol == "s":
-        return kin.q / kin.k
-    if pol == "p":
-        return kin.k / kin.q
-    raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
+    return _pick(pol, (kin.q / kin.k, kin.k / kin.q))
 
 
 def impedance_to_reflection(Z, Z0):
@@ -87,25 +83,21 @@ def medium_normal_wavevector(eps, kin: WaveKinematics):
     return branch_sqrt(eps * kin.q * kin.q - kin.Q * kin.Q)
 
 
-def fresnel(model: DielectricModel, pol: str, kin: WaveKinematics):
-    """Fresnel amplitude of a semi-infinite medium.
-
-    r_s = (k - k_a)/(k + k_a), r_p = (k_a - eps k)/(k_a + eps k); equal to
-    the impedance route with Z_a^s = q/k_a, Z_a^p = k_a/(eps q).
-    """
-    eps = model.eval(kin.freq)
-    k_a = medium_normal_wavevector(eps, kin)
-    if np.any(k_a == 0.0):
-        raise SingularKinematicsError("branch-cut-ambiguous kinematics k_a = 0")
+def _pick(pol, pair):
+    """The ``pol`` member of an (r_s, r_p)-ordered pair."""
     if pol == "s":
-        return (kin.k - k_a) / (kin.k + k_a)
+        return pair[0]
     if pol == "p":
-        return (k_a - eps * kin.k) / (k_a + eps * kin.k)
+        return pair[1]
     raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
 
 
 def _fresnel_pair(eps, kin: WaveKinematics):
-    """(r_s, r_p) of :func:`fresnel` from one permittivity value ``eps``."""
+    """Fresnel (r_s, r_p) of a semi-infinite medium of permittivity ``eps``.
+
+    r_s = (k - k_a)/(k + k_a), r_p = (k_a - eps k)/(k_a + eps k); equal to
+    the impedance route with Z_a^s = q/k_a, Z_a^p = k_a/(eps q).
+    """
     k_a = medium_normal_wavevector(eps, kin)
     if np.any(k_a == 0.0):
         raise SingularKinematicsError("branch-cut-ambiguous kinematics k_a = 0")
@@ -113,11 +105,9 @@ def _fresnel_pair(eps, kin: WaveKinematics):
             (k_a - eps * kin.k) / (k_a + eps * kin.k))
 
 
-def perfect_mirror(pol: str):
-    """Ideal-mirror limit (eps -> infinity) of the Fresnel amplitudes."""
-    if pol not in ("s", "p"):
-        raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
-    return -1.0 + 0.0j
+def fresnel(model: DielectricModel, pol: str, kin: WaveKinematics):
+    """Fresnel amplitude of a semi-infinite medium (see :func:`_fresnel_pair`)."""
+    return _pick(pol, _fresnel_pair(model.eval(kin.freq), kin))
 
 
 MIRROR = "mirror"
@@ -152,35 +142,30 @@ def _characteristic_impedance(eps, pol, kin):
     return k_a / (eps * kin.q), k_a
 
 
-def multilayer_reflection(stack: LayerStack, pol: str, kin: WaveKinematics):
-    """Stack reflection via surface-impedance recursion from the substrate out.
+def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
+    """Stack (r_s, r_p) via surface-impedance recursion from the substrate
+    out, from the substrate's and the layers' permittivities (``eps_sub``
+    None for a mirror substrate).
 
     Impedances stay bounded where transfer-matrix entries would overflow
     for thick absorbing layers.
     """
-    if pol not in ("s", "p"):
-        raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
-    eps_sub = None if stack.substrate == MIRROR else stack.substrate.eval(kin.freq)
-    eps_layers = [medium.eval(kin.freq) for _, medium in stack.layers]
-    return _stack_reflection(stack, eps_sub, eps_layers, pol, kin)
-
-
-def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, pol, kin):
-    """:func:`multilayer_reflection` from the substrate's and the layers'
-    permittivities (``eps_sub`` None for a mirror substrate)."""
-    if eps_sub is None:
-        Z = np.zeros_like(kin.q)
-    else:
-        Z, _ = _characteristic_impedance(eps_sub, pol, kin)
-    for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
-        Zc, k_a = _characteristic_impedance(eps, pol, kin)
-        r_inner = impedance_to_reflection(Z, Zc)
-        phase = np.exp(2j * k_a * d)
-        den = 1.0 - r_inner * phase
-        if np.any(np.abs(den) <= 1e-14):
-            raise ResonanceError("stack resonance (impedance recursion pole)")
-        Z = Zc * (1.0 + r_inner * phase) / den
-    return impedance_to_reflection(Z, vacuum_impedance(pol, kin))
+    pair = []
+    for pol in ("s", "p"):
+        if eps_sub is None:
+            Z = np.zeros_like(kin.q)
+        else:
+            Z, _ = _characteristic_impedance(eps_sub, pol, kin)
+        for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
+            Zc, k_a = _characteristic_impedance(eps, pol, kin)
+            r_inner = impedance_to_reflection(Z, Zc)
+            phase = np.exp(2j * k_a * d)
+            den = 1.0 - r_inner * phase
+            if np.any(np.abs(den) <= 1e-14):
+                raise ResonanceError("stack resonance (impedance recursion pole)")
+            Z = Zc * (1.0 + r_inner * phase) / den
+        pair.append(impedance_to_reflection(Z, vacuum_impedance(pol, kin)))
+    return tuple(pair)
 
 
 _IMAG_TOL = 1e-9
@@ -196,45 +181,50 @@ def _real_on_imag_axis(model, r):
 
 
 class ReflectionModel:
-    """Maps (polarization, Q, frequency) to a complex reflection amplitude.
+    """Maps wave kinematics to the complex reflection amplitudes (r_s, r_p).
 
-    Instances are immutable; ``amplitude`` is pure and broadcasts over
-    ndarray ``Q``/``freq``.
+    A model implements one method, ``pair(kin)``, which returns complex
+    arrays broadcasting over ``kin.Q`` and ``kin.freq``; ``amplitude``, the
+    real-axis path, ``casimir dos`` and the generic ``imag_axis`` all derive
+    from it.  Instances are immutable and ``pair`` is pure.
     """
 
-    def amplitude(self, pol, Q, freq):
+    def pair(self, kin: WaveKinematics):
         raise NotImplementedError
+
+    def amplitude(self, pol, Q, freq):
+        """Amplitude of polarization ``pol`` ("s" or "p") at (Q, freq)."""
+        return _pick(pol, self.pair(WaveKinematics.create(Q, freq)))
 
     def imag_axis(self, xi):
         """Bind the model to the imaginary-axis nodes ``xi`` (1D, rad/s).
 
         Returns ``amplitudes(idx, Q) -> (r_s, r_p)``, real float arrays at
         freq = 1j*xi[idx] and parallel wavevector Q (same shape as idx).
-        This generic route evaluates the complex amplitude one node at a
-        time, with a scalar frequency, and checks that it is real; subclasses
-        override it to evaluate eps once per node.
+        This generic route makes one ``pair`` call on all points and checks
+        that the amplitudes are real; subclasses override it to evaluate
+        eps once per node.
         """
         xi = np.asarray(xi, dtype=float)
 
         def amplitudes(idx, Q):
-            r_s = np.empty(np.shape(Q))
-            r_p = np.empty(np.shape(Q))
-            nodes, where = np.unique(idx, return_inverse=True)
-            for j, k in enumerate(nodes.tolist()):
-                sel = where == j
-                freq = 1j * float(xi[k])
-                r_s[sel] = _real_on_imag_axis(self, self.amplitude("s", Q[sel], freq))
-                r_p[sel] = _real_on_imag_axis(self, self.amplitude("p", Q[sel], freq))
-            return r_s, r_p
+            r_s, r_p = self.pair(WaveKinematics.create(Q, 1j * xi[idx]))
+            return _real_on_imag_axis(self, r_s), _real_on_imag_axis(self, r_p)
 
         return amplitudes
 
 
+def _shape(kin):
+    return np.broadcast(kin.Q, kin.q).shape
+
+
 @dataclass(frozen=True)
 class PerfectMirror(ReflectionModel):
-    def amplitude(self, pol, Q, freq):
-        kin = WaveKinematics.create(Q, freq)
-        return np.broadcast_to(perfect_mirror(pol), np.broadcast(kin.Q, kin.q).shape).copy()
+    """Ideal-mirror limit (eps -> infinity) of the Fresnel amplitudes."""
+
+    def pair(self, kin):
+        r = np.full(_shape(kin), -1.0 + 0.0j)
+        return r, r
 
     def imag_axis(self, xi):
         def amplitudes(idx, Q):
@@ -251,10 +241,9 @@ class ConstantReflection(ReflectionModel):
     r_s: complex
     r_p: complex
 
-    def amplitude(self, pol, Q, freq):
-        kin = WaveKinematics.create(Q, freq)
-        r = self.r_s if pol == "s" else self.r_p
-        return np.broadcast_to(complex(r), np.broadcast(kin.Q, kin.q).shape).copy()
+    def pair(self, kin):
+        shape = _shape(kin)
+        return np.full(shape, complex(self.r_s)), np.full(shape, complex(self.r_p))
 
     def imag_axis(self, xi):
         for r in (self.r_s, self.r_p):
@@ -273,14 +262,14 @@ class ConstantReflection(ReflectionModel):
 class FresnelReflection(ReflectionModel):
     dielectric: DielectricModel
 
-    def amplitude(self, pol, Q, freq):
-        return fresnel(self.dielectric, pol, WaveKinematics.create(Q, freq))
+    def pair(self, kin):
+        return _fresnel_pair(self.dielectric.eval(kin.freq), kin)
 
     def imag_axis(self, xi):
         """Fresnel amplitudes at i*xi with eps(i*xi) evaluated once per node.
 
         Analytic media go through the real kernel; tabulated media keep
-        the complex Fresnel arithmetic of :func:`fresnel`, which the real
+        the complex Fresnel arithmetic of :meth:`pair`, which the real
         kernel does not reproduce to the last digit.
         """
         xi = np.asarray(xi, dtype=float)
@@ -303,29 +292,33 @@ class FresnelReflection(ReflectionModel):
 class ImpedanceReflection(ReflectionModel):
     """Surface-impedance-defined slab: Z(pol, Q, freq) -> complex.
 
-    Extension hook for nonlocal media; the supplied callable must be pure
-    and should broadcast over Q.
+    Extension hook for nonlocal media.  The supplied callable must be pure
+    and broadcast over array ``Q`` and ``freq``: every path calls it once
+    per polarization on all points of a round, real or imaginary axis.
     """
 
     impedance: Callable
 
-    def amplitude(self, pol, Q, freq):
-        kin = WaveKinematics.create(Q, freq)
-        return impedance_to_reflection(self.impedance(pol, kin.Q, kin.freq),
-                                       vacuum_impedance(pol, kin))
+    def pair(self, kin):
+        return tuple(impedance_to_reflection(self.impedance(pol, kin.Q, kin.freq),
+                                             vacuum_impedance(pol, kin))
+                     for pol in ("s", "p"))
 
 
 @dataclass(frozen=True)
 class MultilayerReflection(ReflectionModel):
     stack: LayerStack
 
-    def amplitude(self, pol, Q, freq):
-        return multilayer_reflection(self.stack, pol, WaveKinematics.create(Q, freq))
+    def pair(self, kin):
+        sub = self.stack.substrate
+        eps_sub = None if sub == MIRROR else sub.eval(kin.freq)
+        eps_layers = [medium.eval(kin.freq) for _, medium in self.stack.layers]
+        return _stack_reflection(self.stack, eps_sub, eps_layers, kin)
 
     def imag_axis(self, xi):
         """Stack amplitudes at i*xi with every medium's eps evaluated once
         per node at a scalar frequency, so each value equals a per-node
-        :meth:`amplitude` call."""
+        :meth:`pair` call."""
         xi = np.asarray(xi, dtype=float)
 
         def per_node(medium):
@@ -338,28 +331,7 @@ class MultilayerReflection(ReflectionModel):
         def amplitudes(idx, Q):
             kin = WaveKinematics.create(Q, 1j * xi[idx])
             sub_idx = None if eps_sub is None else eps_sub[idx]
-            layers_idx = [eps[idx] for eps in eps_layers]
-            return tuple(_real_on_imag_axis(
-                self, _stack_reflection(self.stack, sub_idx, layers_idx, pol, kin))
-                for pol in ("s", "p"))
+            pair = _stack_reflection(self.stack, sub_idx, [eps[idx] for eps in eps_layers], kin)
+            return tuple(_real_on_imag_axis(self, r) for r in pair)
 
         return amplitudes
-
-
-def amplitudes_both(model: ReflectionModel, kin: WaveKinematics):
-    """(r_s, r_p) at shared kinematics, with one dielectric evaluation.
-
-    Fast path for the contour integrals, where the per-call overhead of
-    building kinematics four times per point dominates.
-    """
-    if isinstance(model, PerfectMirror):
-        r = np.broadcast_to(-1.0 + 0.0j, np.broadcast(kin.Q, kin.q).shape)
-        return r, r
-    if isinstance(model, ConstantReflection):
-        shape = np.broadcast(kin.Q, kin.q).shape
-        return (np.broadcast_to(complex(model.r_s), shape),
-                np.broadcast_to(complex(model.r_p), shape))
-    if isinstance(model, FresnelReflection):
-        return _fresnel_pair(model.dielectric.eval(kin.freq), kin)
-    return (np.asarray(model.amplitude("s", kin.Q, kin.freq), dtype=complex),
-            np.asarray(model.amplitude("p", kin.Q, kin.freq), dtype=complex))

@@ -49,7 +49,6 @@ def test_parse_minimal_mirror_config(tmp_path):
 def test_identical_slabs_share_one_model(tmp_path):
     cfg = parse_config(_write(tmp_path, DRUDE_CFG))
     assert cfg.slab2 is cfg.slab1
-    assert cfg.diel2 is cfg.diel1
     other = parse_config(_write(tmp_path, DRUDE_CFG.replace("gamma: 5.3e13}", "gamma: 6e13}", 1)))
     assert other.slab2 is not other.slab1
     assert other.slab2 == FresnelReflection(Drude(1.37e16, 5.3e13))

@@ -9,6 +9,7 @@ from casimir import (
     ConvergenceError,
     Drude,
     FresnelReflection,
+    ImpedanceReflection,
     LayerStack,
     MultilayerReflection,
     PassivityError,
@@ -16,6 +17,7 @@ from casimir import (
     Plasma,
     QuadratureConfig,
     Vacuum,
+    WaveKinematics,
     force_imag_axis,
     force_real_axis,
     ideal_casimir_pressure,
@@ -25,6 +27,7 @@ from casimir import (
 )
 from casimir import kernels
 from casimir.constants import C_LIGHT, HBAR
+from casimir.reflection import medium_normal_wavevector
 
 WP = 1.37e16
 GAMMA = 5.3e13
@@ -259,8 +262,18 @@ def _per_node_imag_axis(r1, r2, L, cfg):
     return pressure, error, neval[0], converged[0]
 
 
-@pytest.mark.parametrize("case", ["drude", "plasma", "film", "budget"])
+def _drude_impedance(pol, Q, freq):
+    # the Drude slab's surface impedance, Z^s = q/k_a and Z^p = k_a/(eps q)
+    kin = WaveKinematics.create(Q, freq)
+    eps = Drude(WP, GAMMA).eval(freq)
+    k_a = medium_normal_wavevector(eps, kin)
+    return kin.q / k_a if pol == "s" else k_a / (eps * kin.q)
+
+
+@pytest.mark.parametrize("case", ["drude", "plasma", "film", "impedance", "budget"])
 def test_lockstep_inner_integrals_are_bit_identical(case):
+    # the impedance slab's array-frequency route against one scalar
+    # frequency per node in the reference
     metal = FresnelReflection(Drude(WP, GAMMA))
     plasma = FresnelReflection(Plasma(WP))
     film = MultilayerReflection(
@@ -269,6 +282,8 @@ def test_lockstep_inner_integrals_are_bit_identical(case):
         "drude": (metal, metal, 100e-9, QuadratureConfig(rtol=1e-6)),
         "plasma": (plasma, plasma, 100e-9, QuadratureConfig(rtol=1e-6)),
         "film": (film, metal, 1e-6, QuadratureConfig(rtol=1e-6)),
+        "impedance": (ImpedanceReflection(_drude_impedance), metal, 1e-6,
+                      QuadratureConfig(rtol=1e-6)),
         "budget": (metal, metal, 100e-9, QuadratureConfig(rtol=1e-12, max_subdivisions=10)),
     }[case]
     res = force_imag_axis(r1, r2, L, cfg)

@@ -13,23 +13,18 @@ from casimir import (
     OpticalTable,
     PerfectMirror,
     Plasma,
+    ReflectionModel,
     SingularKinematicsError,
     Tabulated,
     Vacuum,
     WaveKinematics,
     fresnel,
     impedance_to_reflection,
-    multilayer_reflection,
-    perfect_mirror,
     vacuum_impedance,
 )
 from casimir import kernels
 from casimir.constants import C_LIGHT
-from casimir.reflection import (
-    amplitudes_both,
-    branch_sqrt,
-    medium_normal_wavevector,
-)
+from casimir.reflection import branch_sqrt, medium_normal_wavevector
 
 WP = 1.37e16
 GAMMA = 5.3e13
@@ -87,10 +82,11 @@ def test_impedance_route_equals_fresnel():
 
 
 def test_perfect_mirror_amplitude():
-    assert perfect_mirror("s") == -1.0
-    assert perfect_mirror("p") == -1.0
+    mirror = PerfectMirror()
+    assert mirror.amplitude("s", 1e6, 1e15) == -1.0
+    assert mirror.amplitude("p", 1e6, 1e15) == -1.0
     with pytest.raises(ValueError):
-        perfect_mirror("x")
+        mirror.amplitude("x", 1e6, 1e15)
 
 
 def test_fresnel_passivity_and_imag_axis_reality():
@@ -198,30 +194,53 @@ def test_fresnel_imag_axis_matches_per_node_scalar_eps_bit_for_bit():
     assert np.array_equal(got[1], want[1])
 
 
-def test_imag_axis_hands_impedance_a_scalar_frequency():
+def test_imag_axis_hands_impedance_array_frequencies():
+    # one call per polarization per round, on every point at once
     seen = []
 
     def impedance(pol, Q, freq):
-        seen.append(complex(freq))
+        seen.append((pol, np.array(freq)))
         return 0.1 * vacuum_impedance(pol, WaveKinematics.create(Q, freq))
 
     xi = np.array([3e13, 2e15])
-    ImpedanceReflection(impedance=impedance).imag_axis(xi)(np.array([1, 0, 1, 0]),
-                                                           np.full(4, 1e6))
-    assert sorted(set(seen), key=abs) == [1j * xi[0], 1j * xi[1]]
+    idx = np.array([1, 0, 1, 0])
+    Q = np.full(idx.size, 1e6)
+    amplitudes = ImpedanceReflection(impedance=impedance).imag_axis(xi)
+    for round_ in (1, 2):
+        amplitudes(idx, Q)
+        assert [pol for pol, _ in seen] == ["s", "p"] * round_
+    for _, freq in seen:
+        assert freq.shape == Q.shape
+        assert np.array_equal(freq, 1j * xi[idx])
 
 
-def test_amplitudes_both_matches_per_polarization():
+def test_pair_matches_amplitude_for_every_model():
     rng = np.random.default_rng(31)
+    metal = Drude(WP, GAMMA)
     models = (PerfectMirror(), ConstantReflection(r_s=0.4, r_p=-0.2),
-              FresnelReflection(Drude(WP, GAMMA)))
+              FresnelReflection(metal),
+              MultilayerReflection(LayerStack(layers=((2e-8, metal),), substrate=Constant(4.0))),
+              ImpedanceReflection(impedance=lambda pol, Q, freq: 0.1 * vacuum_impedance(
+                  pol, WaveKinematics.create(Q, freq))))
     for model in models:
         Q = rng.uniform(1e4, 1e8, 20)
         w = rng.uniform(1e14, 1e17)
-        kin = WaveKinematics.create(Q, w)
-        rs, rp = amplitudes_both(model, kin)
-        np.testing.assert_allclose(rs, model.amplitude("s", Q, w), rtol=1e-13)
-        np.testing.assert_allclose(rp, model.amplitude("p", Q, w), rtol=1e-13)
+        for freq in (w, 1j * w):
+            rs, rp = model.pair(WaveKinematics.create(Q, freq))
+            assert np.array_equal(rs, model.amplitude("s", Q, freq))
+            assert np.array_equal(rp, model.amplitude("p", Q, freq))
+            with pytest.raises(ValueError, match="polarization"):
+                model.amplitude("x", Q, freq)
+
+
+def test_no_model_overrides_amplitude():
+    # amplitude derives from pair; a model states its coefficients only there
+    pending = list(ReflectionModel.__subclasses__())
+    assert pending
+    while pending:
+        cls = pending.pop()
+        assert "amplitude" not in vars(cls), cls
+        pending.extend(cls.__subclasses__())
 
 
 def test_normal_incidence_polarizations_coincide():
@@ -237,9 +256,8 @@ def test_normal_incidence_polarizations_coincide():
 
 def test_multilayer_zero_contrast_is_transparent():
     stack = LayerStack(layers=((1e-7, Vacuum()),), substrate=Vacuum())
-    kin = WaveKinematics.create(1e6, 1e15)
     for pol in ("s", "p"):
-        assert abs(multilayer_reflection(stack, pol, kin)) < 1e-14
+        assert abs(MultilayerReflection(stack).amplitude(pol, 1e6, 1e15)) < 1e-14
 
 
 def test_multilayer_thick_layer_equals_bulk():
@@ -259,9 +277,9 @@ def test_multilayer_thick_layer_equals_bulk():
 
 def test_multilayer_mirror_substrate_at_zero_thickness_limit():
     stack = LayerStack(layers=((1e-25, Vacuum()),), substrate="mirror")
-    kin = WaveKinematics.create(1e6, 1j * 1e15)
+    model = MultilayerReflection(stack)
     for pol in ("s", "p"):
-        assert multilayer_reflection(stack, pol, kin) == pytest.approx(-1.0, rel=1e-10)
+        assert model.amplitude(pol, 1e6, 1j * 1e15) == pytest.approx(-1.0, rel=1e-10)
 
 
 def test_multilayer_is_real_on_imag_axis():
