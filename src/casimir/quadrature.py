@@ -37,7 +37,7 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _EPS = np.finfo(float).eps
-_PANEL_ERRSTATE = {"over": "ignore", "invalid": "ignore"}
+_PANEL_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 # tail-check sample points, in units of the semi-infinite map's scale
 _TAIL_X = np.array([1e1, 1e2, 1e3, 1e4])
 
@@ -60,22 +60,24 @@ class QuadratureConfig:
             raise ValueError(f"unknown tail_check {self.tail_check!r}")
 
 
-def _panel(fx, half):
-    """Kronrod/Gauss estimates and QUADPACK-style error for one panel.
+def _panels(fx, half):
+    """Kronrod values and QUADPACK-style errors of the panels in the rows
+    of ``fx`` (shape (rows, 15)), whose half-widths are ``half``.
 
-    Callers run it under ``np.errstate(**_PANEL_ERRSTATE)``.
+    The node sums are an elementwise product and a row sum, not a BLAS
+    matrix-vector product, whose per-row bits depend on the batch: each
+    row gets the bits it gets alone.  Callers run it under
+    ``np.errstate(**_PANEL_ERRSTATE)``.
     """
-    resk = _WGK @ fx
-    resg = _WG @ fx[1::2]
-    resabs = _WGK @ np.abs(fx)
-    resasc = _WGK @ np.abs(fx - 0.5 * resk)
-    value = resk * half
-    err = abs((resk - resg) * half)
+    resk = np.add.reduce(fx * _WGK, axis=1)
+    resg = np.add.reduce(fx[:, 1::2] * _WG, axis=1)
+    resabs = np.add.reduce(np.abs(fx) * _WGK, axis=1)
+    resasc = np.add.reduce(np.abs(fx - 0.5 * resk[:, None]) * _WGK, axis=1)
+    err = np.abs((resk - resg) * half)
     asc = resasc * half
-    if asc > 0.0 and err > 0.0:
-        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs * half)
-    return value, err
+    scaled = asc * np.fmin(1.0, (200.0 * err / asc) ** 1.5)
+    err = np.where((asc > 0.0) & (err > 0.0), scaled, err)
+    return resk * half, np.maximum(err, 50.0 * _EPS * resabs * half)
 
 
 def _convergence_error(cfg, value, error):
@@ -127,7 +129,8 @@ def integrate_many(f, lo, hi, cfg=None):
     keeps its own GK15 interval heap, stopping rule, subdivision budget and
     error estimate, so each value and error equals what the integral gets
     alone; only the calls to ``f`` are shared, one per bisection round
-    holding the 30 new nodes of every unconverged integral.  Every value
+    holding the 30 new nodes of every unconverged integral, and the one
+    :func:`_panels` pass that scores the round's new panels.  Every value
     ``f`` returns is checked: a non-finite one raises
     :class:`DivergenceError`.
 
@@ -146,56 +149,50 @@ def integrate_many(f, lo, hi, cfg=None):
     half = 0.5 * (hi - lo)
     xs = lo[:, None] + half[:, None] * (_XGK + 1.0)
     fx = _evaluate(f, np.repeat(np.arange(n), _XGK.size), xs, lo, hi)
-    heaps, total_val, total_err = [], [], []
     with np.errstate(**_PANEL_ERRSTATE):
-        for i, (a, b, h) in enumerate(zip(lo.tolist(), hi.tolist(), half.tolist())):
-            val, err = _panel(fx[i], h)
-            # heap entries: (-err, tiebreak, lo, hi, val, err)
-            heaps.append([(-err, 0, a, b, val, err)])
-            total_val.append(val)
-            total_err.append(err)
+        total_val, total_err = _panels(fx, half)
+    # heap entries: (-err, tiebreak, lo, hi, val, err)
+    heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(
+        lo.tolist(), hi.tolist(), total_val.tolist(), total_err.tolist())]
 
     values = np.empty(n)
-    errors = np.empty(n)
     ok = np.ones(n, dtype=bool)
-    seq = [1] * n
-    n_sub = [1] * n
-    active = range(n)
-    while active:
-        live, popped = [], []
-        for i in active:
-            done = not total_err[i] > max(cfg.atol, cfg.rtol * abs(total_val[i]))
-            if done or n_sub[i] >= cfg.max_subdivisions:
-                values[i], errors[i] = _ordered_sum(heaps[i], 4), total_err[i]
-                ok[i] = done
-            else:
-                live.append(i)
-                popped.append(heapq.heappop(heaps[i]))
-        if not live:
-            break
-        a = np.array([entry[2] for entry in popped])
-        b = np.array([entry[3] for entry in popped])
-        mid = 0.5 * (a + b)
-        h1 = 0.5 * (mid - a)
-        h2 = 0.5 * (b - mid)
-        xs = np.concatenate((a[:, None] + h1[:, None] * (_XGK + 1.0),
-                             mid[:, None] + h2[:, None] * (_XGK + 1.0)), axis=1)
-        fx = _evaluate(f, np.repeat(live, 2 * _XGK.size), xs, a, b)
-        mids, h1s, h2s = mid.tolist(), h1.tolist(), h2.tolist()
+    active = np.arange(n)
+    # every live integral is bisected once a round, so all active
+    # integrals have used the same number of subdivisions
+    n_sub = 1
+    while True:
+        done = ~(total_err > np.fmax(cfg.atol, cfg.rtol * np.abs(total_val)))[active]
+        if n_sub >= cfg.max_subdivisions:
+            ok[active] = done
+            done[:] = True
+        for i in active[done].tolist():
+            values[i] = _ordered_sum(heaps[i], 4)
+        active = active[~done]
+        if not active.size:
+            return values, total_err, ok
+        popped = np.array([heapq.heappop(heaps[i]) for i in active.tolist()])
+        # columns a, mid, b; row 2j of (a, mid) | (mid, b) is the left
+        # child of integral active[j], row 2j + 1 the right
+        ends = popped[:, [2, 2, 3]]
+        ends[:, 1] = 0.5 * (ends[:, 0] + ends[:, 2])
+        left = ends[:, :2].ravel()
+        h = 0.5 * (ends[:, 1:].ravel() - left)
+        xs = left[:, None] + h[:, None] * (_XGK + 1.0)
+        fx = _evaluate(f, np.repeat(active, 2 * _XGK.size),
+                       xs.reshape(active.size, -1), ends[:, 0], ends[:, 2])
         with np.errstate(**_PANEL_ERRSTATE):
-            for j, i in enumerate(live):
-                _, _, lo_i, hi_i, v_old, e_old = popped[j]
-                mid_i = mids[j]
-                v1, e1 = _panel(fx[j, :15], h1s[j])
-                v2, e2 = _panel(fx[j, 15:], h2s[j])
-                total_val[i] += v1 + v2 - v_old
-                total_err[i] += e1 + e2 - e_old
-                heapq.heappush(heaps[i], (-e1, seq[i], lo_i, mid_i, v1, e1))
-                heapq.heappush(heaps[i], (-e2, seq[i] + 1, mid_i, hi_i, v2, e2))
-                seq[i] += 2
-                n_sub[i] += 1
-        active = live
-    return values, errors, ok
+            v, e = _panels(fx.reshape(xs.shape), h)
+        v = v.reshape(-1, 2)
+        e = e.reshape(-1, 2)
+        total_val[active] += v[:, 0] + v[:, 1] - popped[:, 4]
+        total_err[active] += e[:, 0] + e[:, 1] - popped[:, 5]
+        seq = 2 * n_sub - 1
+        for i, (lo_i, mid_i, hi_i), (v1, v2), (e1, e2) in zip(
+                active.tolist(), ends.tolist(), v.tolist(), e.tolist()):
+            heapq.heappush(heaps[i], (-e1, seq, lo_i, mid_i, v1, e1))
+            heapq.heappush(heaps[i], (-e2, seq + 1, mid_i, hi_i, v2, e2))
+        n_sub += 1
 
 
 def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
@@ -267,12 +264,8 @@ def panel_results(f, edges):
     half = 0.5 * np.diff(edges)
     nodes = lo[:, None] + half[:, None] * (_XGK[None, :] + 1.0)
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    vals = np.empty(half.size)
-    errs = np.empty(half.size)
     with np.errstate(**_PANEL_ERRSTATE):
-        for i in range(half.size):
-            vals[i], errs[i] = _panel(fx[i], half[i])
-    return vals, errs
+        return _panels(fx, half)
 
 
 def fixed_panels(f, edges):

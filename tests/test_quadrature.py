@@ -3,11 +3,21 @@ import heapq
 import numpy as np
 import pytest
 
-from casimir import ConvergenceError, QuadratureConfig, integrate, integrate_semi_infinite
+from casimir import (
+    ConvergenceError,
+    QuadratureConfig,
+    integrate,
+    integrate_semi_infinite,
+    quadrature,
+)
 from casimir.errors import DivergenceError
 from casimir.quadrature import (
+    _EPS,
+    _PANEL_ERRSTATE,
+    _WG,
+    _WGK,
     _XGK,
-    _panel,
+    _panels,
     fixed_panels,
     integrate_many,
     integrate_semi_infinite_many,
@@ -129,6 +139,95 @@ def test_panel_results_sums_to_fixed_panels():
     assert np.sum(errs) == pytest.approx(err_total, rel=1e-14)
 
 
+def _score(fx, half):
+    with np.errstate(**_PANEL_ERRSTATE):
+        return _panels(fx, half)
+
+
+def _random_rows(rng, n):
+    """Rows of 15 node values scaled by 1e-30..1e30: half noise, half a
+    smooth exponential, whose small Kronrod-Gauss gap takes the scaled
+    branch of the error rule."""
+    noise = rng.standard_normal((n, 15))
+    smooth = np.exp(rng.uniform(-3.0, 3.0, (n, 1)) * _XGK)
+    rows = np.where(rng.random((n, 1)) < 0.5, noise, smooth)
+    return rows * 10.0 ** rng.uniform(-30.0, 30.0, (n, 1)), 10.0 ** rng.uniform(-3.0, 3.0, n)
+
+
+def test_panel_pass_is_row_independent():
+    # a row gets the same bits whatever rows share its batch
+    rng = np.random.default_rng(11)
+    rows, halves = _random_rows(rng, 40)
+    for i in range(rows.shape[0]):
+        alone = _score(rows[i:i + 1], halves[i:i + 1])
+        for companions in (1, 2, 7, 100):
+            batch, hb = _random_rows(rng, companions + 1)
+            at = rng.integers(companions + 1)
+            batch[at], hb[at] = rows[i], halves[i]
+            value, err = _score(batch, hb)
+            assert (value[at], err[at]) == (alone[0][0], alone[1][0])
+
+
+def _textbook_panel(fx, half):
+    """QUADPACK's panel rule for one row, written with 1-D dot products;
+    also returns resabs."""
+    resk = _WGK @ fx
+    resg = _WG @ fx[1::2]
+    resabs = _WGK @ np.abs(fx)
+    resasc = _WGK @ np.abs(fx - 0.5 * resk)
+    err = abs((resk - resg) * half)
+    asc = resasc * half
+    if asc > 0.0 and err > 0.0:
+        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+    return resk * half, max(err, 50.0 * _EPS * resabs * half), resabs
+
+
+def test_panel_pass_agrees_with_the_textbook_rule():
+    rng = np.random.default_rng(3)
+    fx = rng.standard_normal((5000, 15)) * np.exp(rng.uniform(-50.0, 50.0, (5000, 1)))
+    half = np.exp(rng.uniform(-5.0, 5.0, 5000))
+    values, errors = _score(fx, half)
+    for row, h, value, err in zip(fx, half, values, errors):
+        want, want_err, resabs = _textbook_panel(row, h)
+        assert abs(value - want) <= 1e-12 * resabs * h
+        assert err == pytest.approx(want_err, rel=1e-11, abs=0.0)
+
+
+def test_panel_results_rows_are_the_first_panels_of_integrate_many():
+    edges = np.array([0.0, 0.3, 1.0, 1.7, 4.0, 9.5])
+
+    def f(x):
+        return np.exp(-x) * np.cos(5.0 * x)
+
+    vals, errs = panel_results(f, edges)
+    values, errors, ok = integrate_many(lambda idx, x: f(x), edges[:-1], edges[1:],
+                                        QuadratureConfig(atol=1e300))
+    assert ok.all()
+    assert vals.tolist() == values.tolist()
+    assert errs.tolist() == errors.tolist()
+
+
+def test_integrate_many_scores_a_round_in_one_panel_pass(monkeypatch):
+    calls = {"f": 0, "panels": 0}
+    panels = quadrature._panels
+
+    def counting_panels(fx, half):
+        calls["panels"] += 1
+        return panels(fx, half)
+
+    monkeypatch.setattr(quadrature, "_panels", counting_panels)
+    freqs = np.linspace(1.0, 40.0, 40)
+
+    def f(idx, x):
+        calls["f"] += 1
+        return np.cos(freqs[idx] * x)
+
+    _, _, ok = integrate_many(f, np.zeros(40), np.full(40, 3.0), QuadratureConfig(rtol=1e-10))
+    assert ok.all()
+    assert calls["f"] > 5
+    assert calls["panels"] == calls["f"]
+
+
 def _batch(funcs):
     """``f(idx, x)`` for the lockstep engine: integrand idx[j] at x[j]."""
     def f(idx, x):
@@ -201,8 +300,10 @@ def _heap_loop(f, a, b, cfg):
     """The one-integral GK15 bisection loop, written out on its own."""
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _panel(np.asarray(f(lo + half * (_XGK + 1.0)), dtype=float), half)
+        with np.errstate(**_PANEL_ERRSTATE):
+            fx = np.asarray(f(lo + half * (_XGK + 1.0)), dtype=float)
+            value, err = _panels(fx[None, :], np.array([half]))
+        return float(value[0]), float(err[0])
 
     val, err = panel(a, b)
     heap = [(-err, 0, a, b, val, err)]
