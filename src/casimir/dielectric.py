@@ -7,14 +7,13 @@ imaginary axis every shipped model returns a real permittivity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import kernels
 from .errors import FrequencyDomainError, OpticalTableError
-from .quadrature import QuadratureConfig, fixed_panels, integrate, integrate_semi_infinite
 
 
 def _check_frequency(freq, allow_zero=False):
@@ -207,36 +206,42 @@ def load_optical_table(path) -> OpticalTable:
     return OpticalTable(omega=data[:, 0], im_eps=data[:, 1], re_eps=re_eps)
 
 
-# quadrature setup for the dispersion-relation integral; the tails are
-# smooth closed forms, the gridded part is handled panel by panel.
-_KK_CFG = QuadratureConfig(rtol=1e-8, max_subdivisions=400)
+def _t_minus_arctan(t):
+    """t - arctan(t) for t >= 0, by its series below t = 0.1, where the
+    difference would cancel."""
+    s = np.fmin(t, 0.1)
+    s2 = s * s
+    acc = 0.0
+    for k in range(15, 1, -2):
+        acc = 1.0 / k - s2 * acc
+    return np.where(t < 0.1, s * s2 * acc, t - np.arctan(t))
 
 
-def permittivity_from_table(table: OpticalTable, xi: float) -> float:
-    """Continue tabulated absorption data to the imaginary axis.
+def _continue_table(table: OpticalTable, xi):
+    """eps(i xi) of :func:`permittivity_from_table` at a 1-D array ``xi``.
 
-    Evaluates eps(i xi) = 1 + (2/pi) * Int_0^inf w Im eps(w) / (w^2 + xi^2) dw
-    with the tabulated data interpolated on its grid, a 1/w^3 tail above it
-    and, below it, a Drude-type tail A/(w (w^2 + B^2)) fitted to the two
-    lowest grid points when w Im eps falls there, else the insulator tail
-    Im eps = y0 w / w0 that goes linearly to zero from the first point.
+    One numpy pass over (xi, segment); the segment sum runs along the last
+    axis, so each xi gets the bits it gets alone.
     """
-    if not np.isreal(xi) or xi <= 0.0:
-        raise FrequencyDomainError(f"xi must be real > 0, got {xi}")
-    xi = float(xi)
     w = table.omega
     y = table.im_eps
     if np.all(y == 0.0):
-        return 1.0
-
-    def gridded(om):
-        return om * np.interp(om, w, y) / (om * om + xi * xi)
-
-    main, _ = fixed_panels(gridded, w)
+        return np.ones(xi.shape)
+    x = xi[:, None]
+    x2 = x * x
+    # segment [w0, w1] with Im eps linear from y0 to y1: J0 and J1 are the
+    # integrals of om/(om^2 + xi^2) and om^2/(om^2 + xi^2) over it
+    w0, w1 = w[:-1], w[1:]
+    dw = w1 - w0
+    ww = w0 * w1
+    den = x2 + ww
+    j0 = 0.5 * np.log1p(dw * (w1 + w0) / (w0 * w0 + x2))
+    j1 = dw * ww / den + x * _t_minus_arctan(x * dw / den)
+    main = np.add.reduce((y[:-1] * (w1 * j0 - j1) + y[1:] * (j1 - w0 * j0)) / dw, axis=1)
 
     # low tail: Im eps = A / (om (om^2 + B^2)), exact for Drude data; with
     # B^2 <= 0 it would not be integrable at 0, so fall back to Im eps
-    # linear in om, whose integral is closed-form
+    # linear in om
     y1w1, y2w2 = y[0] * w[0], y[1] * w[1]
     low = 0.0
     b2 = 0.0
@@ -244,21 +249,39 @@ def permittivity_from_table(table: OpticalTable, xi: float) -> float:
         ratio = y1w1 / y2w2
         b2 = (w[1] ** 2 - ratio * w[0] ** 2) / (ratio - 1.0)
     if b2 > 0.0:
+        # A/(xi^2 - B^2) (arctan(w0/B)/B - arctan(w0/xi)/xi), with the
+        # arctan difference folded into arctan(z), free of 1/(xi - B)
+        b = np.sqrt(b2)
         amp = y1w1 * (w[0] ** 2 + b2)
-        low, _ = integrate(lambda om: amp / ((om * om + b2) * (om * om + xi * xi)),
-                           0.0, w[0], _KK_CFG)
+        c = b * xi + w[0] ** 2
+        z = w[0] * (xi - b) / c
+        atanc = np.divide(np.arctan(z), z, out=np.ones_like(z), where=z != 0.0)
+        low = amp / (b * xi * (xi + b)) * (np.arctan(w[0] / b) + b * w[0] / c * atanc)
     elif y1w1 > 0.0:
-        low = (y[0] / w[0]) * (w[0] - xi * np.arctan(w[0] / xi))
+        low = (y[0] / w[0]) * xi * _t_minus_arctan(w[0] / xi)
 
     # high tail: Im eps = C / om^3
     high = 0.0
     if y[-1] > 0.0:
-        c3 = y[-1] * w[-1] ** 3
-        high, _ = integrate_semi_infinite(
-            lambda om: c3 / (om * om * (om * om + xi * xi)),
-            w[-1], _KK_CFG, scale=max(w[-1], xi))
+        r = w[-1] / xi
+        high = y[-1] * (r * r * r) * _t_minus_arctan(xi / w[-1])
 
     return 1.0 + (2.0 / np.pi) * (low + main + high)
+
+
+def permittivity_from_table(table: OpticalTable, xi: float) -> float:
+    """Continue tabulated absorption data to the imaginary axis.
+
+    Evaluates eps(i xi) = 1 + (2/pi) * Int_0^inf w Im eps(w) / (w^2 + xi^2) dw
+    in closed form, with the tabulated data interpolated linearly on its
+    grid, a 1/w^3 tail above it and, below it, a Drude-type tail
+    A/(w (w^2 + B^2)) fitted to the two lowest grid points when w Im eps
+    falls there, else the insulator tail Im eps = y0 w / w0 that goes
+    linearly to zero from the first point.
+    """
+    if not np.isreal(xi) or xi <= 0.0:
+        raise FrequencyDomainError(f"xi must be real > 0, got {xi}")
+    return float(_continue_table(table, np.array([float(xi)]))[0])
 
 
 @dataclass(frozen=True)
@@ -288,5 +311,4 @@ class Tabulated(DielectricModel):
         return np.interp(om, tb.omega, tb.re_eps) + 1j * np.interp(om, tb.omega, tb.im_eps)
 
     def _eval_iw(self, xi):
-        return np.array([permittivity_from_table(self.table, x)
-                         for x in np.ravel(xi)]).reshape(np.shape(xi))
+        return _continue_table(self.table, np.ravel(xi)).reshape(np.shape(xi))

@@ -223,8 +223,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     target = max(cfg.rtol, 1e-6)
     neval = [0]
     seg_cfg = QuadratureConfig(rtol=max(target * 0.1, 1e-10), atol=0.0,
-                               max_subdivisions=cfg.max_subdivisions,
-                               tail_check="none")
+                               max_subdivisions=cfg.max_subdivisions)
 
     def round_trips(Qp, q, phase):
         kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)

@@ -49,15 +49,12 @@ class QuadratureConfig:
     rtol: float = 1e-9
     atol: float = 0.0
     max_subdivisions: int = 2000
-    tail_check: str = "sample-decay"   # divergence guard: sample-decay | none
 
     def __post_init__(self):
         if not 1e-14 < self.rtol < 1e-2:
             raise ValueError(f"rtol must lie in (1e-14, 1e-2), got {self.rtol}")
         if self.max_subdivisions < 10:
             raise ValueError("max_subdivisions must be >= 10")
-        if self.tail_check not in ("sample-decay", "none"):
-            raise ValueError(f"unknown tail_check {self.tail_check!r}")
 
 
 def _panels(fx, half):
@@ -200,7 +197,7 @@ def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
 
     ``scale`` sets the decay length the substitution resolves.  Returns
     ``(value, error_estimate)``.  A non-decaying integrand is reported as
-    :class:`DivergenceError` (heuristic sample check, see cfg.tail_check).
+    :class:`DivergenceError` (heuristic sample check).
     The single-integrand case of :func:`integrate_semi_infinite_many`.
     """
     cfg = cfg or QuadratureConfig()
@@ -220,7 +217,7 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
     ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``; integrand ``i``
     is mapped to (0, 1) by x = a + scales[i] u/(1-u) and the mapped
     integrands run through :func:`integrate_many`, after a sample check
-    that each one decays (cfg.tail_check).  Returns ``(values, errors, ok)``
+    that each one decays.  Returns ``(values, errors, ok)``
     as :func:`integrate_many` does.  A non-decaying or non-finite integrand
     raises :class:`DivergenceError`.
     """
@@ -230,16 +227,15 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
         raise ValueError(f"scales must be positive and finite, got {scales}")
     n = scales.size
 
-    if cfg.tail_check == "sample-decay":
-        idx = np.repeat(np.arange(n), _TAIL_X.size)
-        xs = a + scales[idx] * np.tile(_TAIL_X, n)
-        samples = np.abs((xs - a) * np.asarray(f(idx, xs), dtype=float)).reshape(n, -1)
-        grows = ((samples.max(axis=1) > 0.0) & (samples[:, -1] >= samples[:, 0])
-                 & (samples[:, 0] > 0.0))
-        if grows.any():
-            raise DivergenceError(
-                "integrand samples do not decay towards infinity "
-                f"(|x f(x)| at x-a = 10..1e4 scale: {samples[grows.argmax()].tolist()})")
+    idx = np.repeat(np.arange(n), _TAIL_X.size)
+    xs = a + scales[idx] * np.tile(_TAIL_X, n)
+    samples = np.abs((xs - a) * np.asarray(f(idx, xs), dtype=float)).reshape(n, -1)
+    grows = ((samples.max(axis=1) > 0.0) & (samples[:, -1] >= samples[:, 0])
+             & (samples[:, 0] > 0.0))
+    if grows.any():
+        raise DivergenceError(
+            "integrand samples do not decay towards infinity "
+            f"(|x f(x)| at x-a = 10..1e4 scale: {samples[grows.argmax()].tolist()})")
 
     # omu underflows to zero when subdivision pushes nodes against u = 1;
     # the intermediate overflow warnings are noise
@@ -266,22 +262,3 @@ def panel_results(f, edges):
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     with np.errstate(**_PANEL_ERRSTATE):
         return _panels(fx, half)
-
-
-def fixed_panels(f, edges):
-    """Non-adaptive GK15 on each interval of the sorted grid ``edges``.
-
-    One vectorized call to ``f``; returns ``(value, error_estimate)``.
-    Intended for integrands that are only piecewise smooth on a known
-    grid (e.g. interpolated tabulated data).
-    """
-    edges = np.asarray(edges, dtype=float)
-    lo = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    nodes = lo[:, None] + half[:, None] * (_XGK[None, :] + 1.0)
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    resk = fx @ _WGK
-    resg = fx[:, 1::2] @ _WG
-    value = float(np.sum(resk * half))
-    err = float(np.sum(np.abs((resk - resg) * half)))
-    return value, err

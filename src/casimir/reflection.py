@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .constants import C_LIGHT
-from .dielectric import DielectricModel, Tabulated, _check_frequency
+from .dielectric import DielectricModel, _check_frequency
 from .errors import ResonanceError, SingularKinematicsError
 
 
@@ -266,24 +266,12 @@ class FresnelReflection(ReflectionModel):
         return _fresnel_pair(self.dielectric.eval(kin.freq), kin)
 
     def imag_axis(self, xi):
-        """Fresnel amplitudes at i*xi with eps(i*xi) evaluated once per node.
-
-        Analytic media go through the real kernel; tabulated media keep
-        the complex Fresnel arithmetic of :meth:`pair`, which the real
-        kernel does not reproduce to the last digit.
-        """
+        """Fresnel amplitudes at i*xi with eps(i*xi) evaluated once per node."""
         xi = np.asarray(xi, dtype=float)
         eps = np.asarray(self.dielectric.eval_iw(xi), dtype=float)
-        if not isinstance(self.dielectric, Tabulated):
-            def amplitudes(idx, Q):
-                return kernels.fresnel_rs_rp_iw(eps[idx], xi[idx] / C_LIGHT, Q)
-
-            return amplitudes
-        eps_c = eps.astype(complex)
 
         def amplitudes(idx, Q):
-            r_s, r_p = _fresnel_pair(eps_c[idx], WaveKinematics.create(Q, 1j * xi[idx]))
-            return _real_on_imag_axis(self, r_s), _real_on_imag_axis(self, r_p)
+            return kernels.fresnel_rs_rp_iw(eps[idx], xi[idx] / C_LIGHT, Q)
 
         return amplitudes
 

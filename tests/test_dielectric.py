@@ -1,3 +1,6 @@
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -184,3 +187,49 @@ def test_scalar_and_array_eval_iw_agree_bit_for_bit(model):
     xi = np.geomspace(1e12, 1e18, 20000)
     scalar = np.array([model.eval_iw(x) for x in xi.tolist()])
     assert np.array_equal(model.eval_iw(xi), scalar)
+
+
+def _kk_oracle(table, xi):
+    """eps(i xi) of the table's model at 40 digits, from the antiderivatives
+    of each linear segment and the partial fractions of the tails."""
+    w = [mp.mpf(float(v)) for v in table.omega]
+    y = [mp.mpf(float(v)) for v in table.im_eps]
+    x = mp.mpf(float(xi))
+
+    def segment(a, b, om):  # antiderivative of om (a + b om) / (om^2 + x^2)
+        return a / 2 * mp.log(om * om + x * x) + b * (om - x * mp.atan(om / x))
+
+    total = mp.mpf(0)
+    for i in range(len(w) - 1):
+        b = (y[i + 1] - y[i]) / (w[i + 1] - w[i])
+        total += segment(y[i] - b * w[i], b, w[i + 1]) - segment(y[i] - b * w[i], b, w[i])
+    ratio = y[0] * w[0] / (y[1] * w[1])
+    b2 = (w[1] ** 2 - ratio * w[0] ** 2) / (ratio - 1) if ratio > 1 else mp.mpf(-1)
+    if b2 > 0:
+        amp = y[0] * w[0] * (w[0] ** 2 + b2)
+        total += amp / (x * x - b2) * (mp.atan(w[0] / mp.sqrt(b2)) / mp.sqrt(b2)
+                                       - mp.atan(w[0] / x) / x)
+    else:
+        total += y[0] / w[0] * (w[0] - x * mp.atan(w[0] / x))
+    total += y[-1] * w[-1] ** 3 / x ** 2 * (1 / w[-1] - mp.atan(x / w[-1]) / x)
+    return 1 + 2 / mp.pi * total
+
+
+def test_kk_continuation_matches_a_40_digit_oracle():
+    gold = load_optical_table(Path(__file__).resolve().parents[1] / "data" / "gold_drude.dat")
+    osc = DrudeLorentz(1.0, ((2.0, 3e15, 3e14),))
+    w = np.linspace(1e15, 6e15, 200)
+    insulator = OpticalTable(omega=w, im_eps=osc.eval(w).imag)
+    # B of the gold table's Drude-type low tail, where its partial
+    # fractions have a removable 1/(xi - B)
+    ratio = gold.im_eps[0] * gold.omega[0] / (gold.im_eps[1] * gold.omega[1])
+    B = np.sqrt((gold.omega[1] ** 2 - ratio * gold.omega[0] ** 2) / (ratio - 1.0))
+    xi = np.concatenate([np.geomspace(1e10, 1e19, 8),
+                         [B, B * (1.0 + 1e-9), B * (1.0 - 1e-9), gold.omega[37]]])
+    with mp.workdps(40):
+        for table in (gold, insulator):
+            scalar = [permittivity_from_table(table, x) for x in xi.tolist()]
+            assert np.array_equal(Tabulated(table).eval_iw(xi), scalar)
+            worst = max(abs(float(got / _kk_oracle(table, x) - 1))
+                        for x, got in zip(xi.tolist(), scalar))
+            assert worst <= 1e-14

@@ -18,7 +18,6 @@ from casimir.quadrature import (
     _WGK,
     _XGK,
     _panels,
-    fixed_panels,
     integrate_many,
     integrate_semi_infinite_many,
     panel_results,
@@ -88,18 +87,6 @@ def test_non_decaying_integrand_is_flagged():
         integrate_semi_infinite(lambda x: np.ones_like(x), 0.0)
 
 
-def test_tail_check_can_be_disabled():
-    # with the sampling heuristic off a divergent integrand is no longer
-    # rejected up front; the result is then either an exception from the
-    # transformed integrand or a meaninglessly huge value
-    cfg = QuadratureConfig(rtol=1e-6, tail_check="none", max_subdivisions=50)
-    try:
-        val, _ = integrate_semi_infinite(lambda x: np.ones_like(x), 0.0, cfg)
-    except (ConvergenceError, DivergenceError):
-        return
-    assert val > 1e3
-
-
 def test_results_are_deterministic():
     def f(x):
         return np.exp(-x) * np.sin(7.0 * x)
@@ -114,29 +101,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=2)
     with pytest.raises(ValueError):
-        QuadratureConfig(tail_check="spline")
-    with pytest.raises(ValueError):
         integrate(np.exp, 1.0, 1.0)
-
-
-def test_fixed_panels_matches_adaptive_on_smooth_integrand():
-    edges = np.linspace(0.0, 3.0, 13)
-    val, err = fixed_panels(lambda x: np.exp(-x * x), edges)
-    ref, _ = integrate(lambda x: np.exp(-x * x), 0.0, 3.0, QuadratureConfig(rtol=1e-12))
-    assert val == pytest.approx(ref, rel=1e-10)
-    assert abs(val - ref) <= max(err, 1e-12)
-
-
-def test_panel_results_sums_to_fixed_panels():
-    edges = np.array([0.0, 0.7, 1.3, 2.0])
-
-    def f(x):
-        return np.cos(3.0 * x)
-
-    vals, errs = panel_results(f, edges)
-    total, err_total = fixed_panels(f, edges)
-    assert np.sum(vals) == pytest.approx(total, rel=1e-14)
-    assert np.sum(errs) == pytest.approx(err_total, rel=1e-14)
 
 
 def _score(fx, half):
@@ -387,4 +352,4 @@ def test_nan_during_bisection_is_a_divergence():
     # the same strip seen through the semi-infinite map, at x = 0.33 / 0.67
     with pytest.raises(DivergenceError, match="non-finite"):
         integrate_semi_infinite(lambda x: _nan_inside(x / (1.0 + x)) * np.exp(-x), 0.0,
-                                QuadratureConfig(rtol=1e-10, tail_check="none"))
+                                QuadratureConfig(rtol=1e-10))
