@@ -27,9 +27,11 @@ from .errors import (
 from .force import (
     ForceResult,
     force_imag_axis,
+    force_imag_axis_many,
     force_real_axis,
     ideal_casimir_pressure,
     lifshitz_force,
+    lifshitz_force_many,
     reduction_factor,
 )
 from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite

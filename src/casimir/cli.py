@@ -31,7 +31,7 @@ from .dielectric import (
     load_optical_table,
 )
 from .errors import CasimirError, ConfigError, OpticalTableError
-from .force import force_imag_axis, force_real_axis, lifshitz_force
+from .force import force_imag_axis_many, force_real_axis, lifshitz_force_many
 from .quadrature import QuadratureConfig
 from .reflection import (
     MIRROR,
@@ -303,29 +303,59 @@ def parse_config(path) -> RunConfig:
                      dos_params=dos_params)
 
 
+def _row(L, path_tag, res):
+    """The table row of one (separation, path): ``res`` is a ForceResult or
+    the CasimirError that the computation raised."""
+    if isinstance(res, CasimirError):
+        return {"L_m": L, "pressure_Pa": float("nan"), "err_Pa": float("nan"),
+                "eta_red": float("nan"), "path": path_tag, "evals": 0,
+                "status": f"failed: {type(res).__name__}"}
+    return {"L_m": L, "pressure_Pa": res.pressure, "err_Pa": res.error,
+            "eta_red": res.reduction, "path": path_tag, "evals": res.neval,
+            "status": "ok" if res.converged else "non-converged"}
+
+
+def _each(solve, Ls):
+    """``solve(L)`` at every gap, each CasimirError kept as that gap's result."""
+    results = []
+    for L in Ls:
+        try:
+            results.append(solve(L))
+        except CasimirError as exc:
+            results.append(exc)
+    return results
+
+
+def _path_results(cfg: RunConfig, path_tag, Ls):
+    """One ForceResult or CasimirError per separation on one path.
+
+    The imaginary-axis and Lifshitz paths run all separations as one
+    lockstep batch; if the batch raises, it is rerun one separation at a
+    time so that only the failing rows fail.  The real-axis path, with its
+    own outer grid, runs per separation.
+    """
+    q = cfg.quadrature
+    if path_tag == "real-axis":
+        return _each(lambda L: force_real_axis(cfg.slab1, cfg.slab2, L, q), Ls)
+    if path_tag == "imaginary-axis":
+        def many(gaps):
+            return force_imag_axis_many(cfg.slab1, cfg.slab2, gaps, q)
+    else:
+        def many(gaps):
+            return lifshitz_force_many(cfg.slab1.dielectric, cfg.slab2.dielectric,
+                                       Vacuum(), gaps, q)
+    try:
+        return many(Ls)
+    except CasimirError:
+        return _each(lambda L: many([L])[0], Ls)
+
+
 def run_sweep(cfg: RunConfig):
     """One row per (separation, path); row order is by L, then path."""
-    rows = []
-    for L in cfg.separations():
-        for path_tag in cfg.paths:
-            try:
-                if path_tag == "imaginary-axis":
-                    res = force_imag_axis(cfg.slab1, cfg.slab2, float(L), cfg.quadrature)
-                elif path_tag == "real-axis":
-                    res = force_real_axis(cfg.slab1, cfg.slab2, float(L), cfg.quadrature)
-                else:
-                    res = lifshitz_force(cfg.slab1.dielectric, cfg.slab2.dielectric,
-                                         Vacuum(), float(L), cfg.quadrature)
-                status = "ok" if res.converged else "non-converged"
-                rows.append({"L_m": float(L), "pressure_Pa": res.pressure,
-                             "err_Pa": res.error, "eta_red": res.reduction,
-                             "path": path_tag, "evals": res.neval, "status": status})
-            except CasimirError as exc:
-                rows.append({"L_m": float(L), "pressure_Pa": float("nan"),
-                             "err_Pa": float("nan"), "eta_red": float("nan"),
-                             "path": path_tag, "evals": 0,
-                             "status": f"failed: {type(exc).__name__}"})
-    return rows
+    Ls = [float(L) for L in cfg.separations()]
+    by_path = [_path_results(cfg, tag, Ls) for tag in cfg.paths]
+    return [_row(L, tag, results[i])
+            for i, L in enumerate(Ls) for tag, results in zip(cfg.paths, by_path)]
 
 
 def dos_table(cfg: RunConfig):

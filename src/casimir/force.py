@@ -12,6 +12,10 @@ Three routes are provided:
   (p, xi) variables, an independent oracle sharing only the quadrature
   engine with the paths above.
 
+``force_imag_axis_many`` and ``lifshitz_force_many`` run a whole sweep of
+gaps as one lockstep batch; the single-gap functions are their one-element
+case.
+
 Sign convention everywhere: negative pressure = attraction.
 """
 
@@ -29,7 +33,6 @@ from .errors import ConvergenceError, PassivityError, ResonanceError
 from .quadrature import (
     QuadratureConfig,
     integrate_many,
-    integrate_semi_infinite,
     integrate_semi_infinite_many,
     panel_results,
 )
@@ -79,36 +82,91 @@ def _check_passive(prod, what):
         raise PassivityError(f"|r1 r2| = {m} >= 1 on the {what} grid (active medium)")
 
 
-def _double_integral(inner_many, cfg, outer_scale=1.0):
-    """Outer semi-infinite integral over u of inner integrals run in lockstep.
+def _gaps(Ls):
+    """The gap widths ``Ls`` as a 1-D float array, each checked positive."""
+    Ls = np.asarray(Ls, dtype=float)
+    if Ls.ndim != 1 or not Ls.size or not np.all(Ls > 0.0):
+        raise ValueError(f"gap widths must be positive, in a non-empty 1-D sequence; got {Ls}")
+    return Ls
 
-    ``inner_many(us, inner_cfg) -> (values, errors, ok)`` computes the inner
-    integral at every outer node of one outer-quadrature call.  Returns
-    (value, error, converged) with inner errors folded into the estimate.
+
+def _double_integral(inner_many, n, cfg):
+    """``n`` outer semi-infinite integrals over u, run in lockstep together
+    with the inner integrals of each outer round.
+
+    ``inner_many(j, us, inner_cfg) -> (values, errors, ok)`` computes the
+    inner integral of outer integral ``j[i]`` at node ``us[i]``, for every
+    node of one outer round of every outer integral at once.  Each outer
+    and inner integral keeps its own heap and estimates, so each row gets
+    the bits it gets alone.  Returns (values, errors, converged) arrays
+    with inner errors folded into the estimates.
     """
     # inner integrals run on relative tolerance alone: an absolute floor in
     # the untransformed variable would be amplified by the transform
     # jacobian wherever the outer integrand decays only algebraically
     inner_cfg = replace(cfg, rtol=max(0.1 * cfg.rtol, 2e-14))
-    inner_rel = [0.0]
-    converged = [True]
+    inner_rel = np.zeros(n)
+    converged = np.ones(n, dtype=bool)
 
-    def f(us):
-        values, errors, ok = inner_many(us, inner_cfg)
-        converged[0] = converged[0] and bool(ok.all())
+    def f(j, us):
+        values, errors, ok = inner_many(j, us, inner_cfg)
+        np.logical_and.at(converged, j, ok)
         nonzero = values != 0.0
         # fmax ignores NaN ratios, so one NaN cannot hide the worst finite one
-        inner_rel[0] = float(np.fmax.reduce(errors[nonzero] / np.abs(values[nonzero]),
-                                            initial=inner_rel[0]))
+        np.fmax.at(inner_rel, j[nonzero], errors[nonzero] / np.abs(values[nonzero]))
         return values
 
-    try:
-        val, err = integrate_semi_infinite(f, 0.0, cfg, scale=outer_scale)
-    except ConvergenceError as exc:
-        val, err = exc.value, exc.error
-        converged[0] = False
-    err_total = err + inner_rel[0] * abs(val)
-    return val, err_total, converged[0]
+    # a spent outer budget keeps its partial sum and marks its row
+    values, errors, ok = integrate_semi_infinite_many(f, 0.0, np.ones(n), cfg)
+    return values, errors + inner_rel * np.abs(values), converged & ok
+
+
+def _results(Ls, pref, values, errors, ok, neval, cfg, path):
+    """One ForceResult per gap; the pressure at gap ``L`` is ``-pref(L)``
+    times its double integral."""
+    return [_result(-pref(L) * v, pref(L) * e, L, cfg, c, n, path)
+            for L, v, e, c, n in zip(Ls.tolist(), values.tolist(), errors.tolist(),
+                                     ok.tolist(), neval.tolist())]
+
+
+def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
+                         cfg: QuadratureConfig | None = None) -> list[ForceResult]:
+    """:func:`force_imag_axis` at every gap of ``Ls``, in one lockstep call.
+
+    In u = xi L / c and v = Q L every gap has the same outer domain and
+    scale, so the outer integrals of all gaps run as one batch and every
+    round evaluates the amplitudes of all gaps in one array call.  Returns
+    one ForceResult per gap, each equal to what the gap gets alone.  An
+    error raised for any gap (e.g. :class:`PassivityError`) aborts the
+    whole batch.
+    """
+    Ls = _gaps(Ls)
+    cfg = cfg or QuadratureConfig()
+    n = Ls.size
+    neval = np.zeros(n, dtype=np.int64)
+
+    def inner_many(j, us, cfg_u):
+        gap = Ls[j]
+        xi = us * C_LIGHT / gap
+        amps1 = r1.imag_axis(xi)
+        amps2 = amps1 if r2 is r1 else r2.imag_axis(xi)
+
+        def g(idx, v):
+            Q = v / gap[idx]
+            rs1, rp1 = amps1(idx, Q)
+            rs2, rp2 = (rs1, rp1) if amps2 is amps1 else amps2(idx, Q)
+            prod_s = rs1 * rs2
+            prod_p = rp1 * rp2
+            _check_passive(prod_s, "(xi, Q)")
+            _check_passive(prod_p, "(xi, Q)")
+            neval[:] += np.bincount(j[idx], minlength=n)
+            return kernels.force_integrand_iw(us[idx], v, prod_s, prod_p)
+
+        return integrate_semi_infinite_many(g, 0.0, 1.0 + np.sqrt(us), cfg_u)
+
+    values, errors, ok = _double_integral(inner_many, n, cfg)
+    return _results(Ls, lambda L: HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4),
+                    values, errors, ok, neval, cfg, "imaginary-axis")
 
 
 def force_imag_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
@@ -117,34 +175,58 @@ def force_imag_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
 
     P = -(hbar / 2 pi^2) Int dxi Int dQ Q kappa
         Sum_pol r1 r2 e^{-2 kappa L} / (1 - r1 r2 e^{-2 kappa L}),
-    nondimensionalized with u = xi L / c and v = Q L.
+    nondimensionalized with u = xi L / c and v = Q L.  The one-gap case of
+    :func:`force_imag_axis_many`.
     """
-    if L <= 0.0:
-        raise ValueError(f"gap width must be positive, got {L}")
+    return force_imag_axis_many(r1, r2, [L], cfg)[0]
+
+
+def lifshitz_force_many(eps1: DielectricModel, eps2: DielectricModel,
+                        eps3: DielectricModel, Ls,
+                        cfg: QuadratureConfig | None = None) -> list[ForceResult]:
+    """:func:`lifshitz_force` at every gap of ``Ls``, in one lockstep call.
+
+    The outer p-integrals of all gaps run as one batch, as in
+    :func:`force_imag_axis_many`; returns one ForceResult per gap, each
+    equal to what the gap gets alone.
+    """
+    Ls = _gaps(Ls)
     cfg = cfg or QuadratureConfig()
-    neval = [0]
+    models = {"eps1": eps1, "eps2": eps2, "eps3": eps3}
+    if eps2 is eps1:
+        del models["eps2"]  # identical slabs share one model: check it once
+    for name, model in models.items():
+        probe = model.eval_iw(np.array([1e12, 1e15, 1e18]))
+        if np.any(np.asarray(probe) < 1.0 - 1e-12):
+            raise ValueError(f"{name} must be real >= 1 on the imaginary axis")
+    n = Ls.size
+    neval = np.zeros(n, dtype=np.int64)
+    L_over_c = Ls / C_LIGHT
 
-    def inner_many(us, cfg_u):
-        xi = us * C_LIGHT / L
-        amps1 = r1.imag_axis(xi)
-        amps2 = amps1 if r2 is r1 else r2.imag_axis(xi)
+    # p = 1 + t; the p^2 dp weight multiplies the inner integrals
+    def inner_many(j, ts, cfg_t):
+        ps = 1.0 + ts
+        gap = Ls[j]
 
-        def g(idx, v):
-            Q = v / L
-            rs1, rp1 = amps1(idx, Q)
-            rs2, rp2 = (rs1, rp1) if amps2 is amps1 else amps2(idx, Q)
-            prod_s = rs1 * rs2
-            prod_p = rp1 * rp2
-            _check_passive(prod_s, "(xi, Q)")
-            _check_passive(prod_p, "(xi, Q)")
-            neval[0] += v.size
-            return kernels.force_integrand_iw(us[idx], v, prod_s, prod_p)
+        def g(idx, xi):
+            e1 = np.asarray(eps1.eval_iw(xi), dtype=float)
+            # identical slabs share one model: continue its eps once
+            e2 = e1 if eps2 is eps1 else np.asarray(eps2.eval_iw(xi), dtype=float)
+            e3 = np.asarray(eps3.eval_iw(xi), dtype=float)
+            neval[:] += np.bincount(j[idx], minlength=n)
+            return kernels.lifshitz_inner(xi, ps[idx], e1, e2, e3, L_over_c[j[idx]])
 
-        return integrate_semi_infinite_many(g, 0.0, 1.0 + np.sqrt(us), cfg_u)
+        # decay scale of e^{-2 xi p sqrt(eps3) L/c} in xi
+        values, errors, ok = integrate_semi_infinite_many(g, 0.0, C_LIGHT / (ps * gap), cfg_t)
+        # Python float pow: numpy's ** 2 is p*p, which differs from it in the
+        # last bit for some p and would change the output bytes
+        weight = np.array([p ** 2 for p in ps.tolist()])
+        return weight * values, weight * errors, ok
 
-    val, err, ok = _double_integral(inner_many, cfg)
-    pref = HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4)
-    return _result(-pref * val, pref * err, L, cfg, ok, neval[0], "imaginary-axis")
+    values, errors, ok = _double_integral(inner_many, n, cfg)
+    # the xi-integral carries dimensions rad^4/s^4; the values are already in SI
+    pref = HBAR / (2.0 * math.pi ** 2 * C_LIGHT ** 3)
+    return _results(Ls, lambda L: pref, values, errors, ok, neval, cfg, "lifshitz")
 
 
 def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
@@ -155,39 +237,9 @@ def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
     P = -(hbar / 2 pi^2 c^3) Int_1^inf dp p^2 Int_0^inf dxi xi^3 eps3^{3/2}
         [G1^{-1} + G2^{-1}], evaluated in an overflow-free form.  Supports
     a material-filled gap (eps3 != 1), unlike the reflection-driven paths.
+    The one-gap case of :func:`lifshitz_force_many`.
     """
-    if L <= 0.0:
-        raise ValueError(f"gap width must be positive, got {L}")
-    cfg = cfg or QuadratureConfig()
-    for name, model in (("eps1", eps1), ("eps2", eps2), ("eps3", eps3)):
-        probe = model.eval_iw(np.array([1e12, 1e15, 1e18]))
-        if np.any(np.asarray(probe) < 1.0 - 1e-12):
-            raise ValueError(f"{name} must be real >= 1 on the imaginary axis")
-    neval = [0]
-    L_over_c = L / C_LIGHT
-
-    # p = 1 + t; the p^2 dp weight multiplies the inner integrals
-    def inner_many(ts, cfg_t):
-        ps = 1.0 + ts
-
-        def g(idx, xi):
-            e1 = np.asarray(eps1.eval_iw(xi), dtype=float)
-            e2 = np.asarray(eps2.eval_iw(xi), dtype=float)
-            e3 = np.asarray(eps3.eval_iw(xi), dtype=float)
-            neval[0] += xi.size
-            return kernels.lifshitz_inner(xi, ps[idx], e1, e2, e3, L_over_c)
-
-        # decay scale of e^{-2 xi p sqrt(eps3) L/c} in xi
-        values, errors, ok = integrate_semi_infinite_many(g, 0.0, C_LIGHT / (ps * L), cfg_t)
-        # Python float pow: numpy's ** 2 is p*p, which differs from it in the
-        # last bit for some p and would change the output bytes
-        weight = np.array([p ** 2 for p in ps.tolist()])
-        return weight * values, weight * errors, ok
-
-    val, err, ok = _double_integral(inner_many, cfg)
-    pref = HBAR / (2.0 * math.pi ** 2 * C_LIGHT ** 3)
-    # the xi-integral carries dimensions rad^4/s^4; val is already in SI
-    return _result(-pref * val, pref * err, L, cfg, ok, neval[0], "lifshitz")
+    return lifshitz_force_many(eps1, eps2, eps3, [L], cfg)[0]
 
 
 def _round_trips(r1, r2, kin, phase):

@@ -8,7 +8,7 @@ from casimir import Drude, FresnelReflection, PerfectMirror, dos, force_imag_axi
 from casimir.cli import dos_table, main, parse_config, read_table_csv, run_sweep, write_table
 from casimir.constants import C_LIGHT
 from casimir.spectrum import default_eta
-from casimir.errors import ConfigError
+from casimir.errors import ConfigError, PassivityError
 
 MIRROR_CFG = """
 slab1: {type: mirror}
@@ -96,6 +96,33 @@ def test_run_sweep_matches_library_call(tmp_path):
     assert rows[0]["pressure_Pa"] == direct.pressure
     assert rows[0]["status"] == "ok"
     assert [r["L_m"] for r in rows] == sorted(r["L_m"] for r in rows)
+
+
+def test_failing_gap_of_a_batched_sweep_fails_alone(tmp_path, monkeypatch):
+    # the sweep runs as one batch; when the batch raises, each gap reruns
+    # on its own, so only the row of the gap that raises fails
+    from casimir import cli
+    cfg = parse_config(_write(tmp_path, DRUDE_CFG))
+    Ls = cfg.separations().tolist()
+    bad = Ls[1]
+    batch = cli.force_imag_axis_many
+
+    def flaky(r1, r2, gaps, qcfg):
+        if bad in np.atleast_1d(gaps).tolist():
+            raise PassivityError("injected")
+        return batch(r1, r2, gaps, qcfg)
+
+    monkeypatch.setattr(cli, "force_imag_axis_many", flaky)
+    rows = run_sweep(cfg)
+    assert [r["L_m"] for r in rows] == Ls
+    assert rows[1]["status"] == "failed: PassivityError"
+    assert rows[1]["evals"] == 0
+    m = FresnelReflection(Drude(1.37e16, 5.3e13))
+    for row in (rows[0], rows[2]):
+        res = force_imag_axis(m, m, row["L_m"], cfg.quadrature)
+        assert (row["pressure_Pa"], row["err_Pa"], row["evals"], row["status"]) == \
+            (res.pressure, res.error, res.neval, "ok")
+    assert main(["run", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "o.csv")]) == 3
 
 
 def test_csv_round_trip_preserves_doubles(tmp_path):

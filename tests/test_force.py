@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,22 +17,28 @@ from casimir import (
     PerfectMirror,
     Plasma,
     QuadratureConfig,
+    Tabulated,
     Vacuum,
     WaveKinematics,
     force_imag_axis,
+    force_imag_axis_many,
     force_real_axis,
     ideal_casimir_pressure,
     integrate_semi_infinite,
     lifshitz_force,
+    lifshitz_force_many,
+    load_optical_table,
     reduction_factor,
 )
-from casimir import kernels
+from casimir import dielectric, kernels, quadrature
 from casimir.constants import C_LIGHT, HBAR
 from casimir.reflection import medium_normal_wavevector
 
 WP = 1.37e16
 GAMMA = 5.3e13
 CFG = QuadratureConfig(rtol=1e-9)
+GOLD_TABLE = Tabulated(load_optical_table(
+    Path(__file__).resolve().parents[1] / "data" / "gold_drude.dat"))
 
 
 def test_ideal_pressure_value():
@@ -201,6 +208,10 @@ def test_gap_width_validation():
         force_imag_axis(m, m, -1e-6, CFG)
     with pytest.raises(ValueError):
         lifshitz_force(Constant(2.0), Constant(2.0), Vacuum(), 0.0, CFG)
+    with pytest.raises(ValueError, match="positive"):
+        force_imag_axis_many(m, m, [1e-7, 0.0], CFG)
+    with pytest.raises(ValueError, match="1-D"):
+        lifshitz_force_many(Constant(2.0), Constant(2.0), Vacuum(), [], CFG)
 
 
 def test_imag_axis_results_are_deterministic():
@@ -300,3 +311,92 @@ def test_lifshitz_budget_exhaustion_keeps_p_squared_weight():
     ref = lifshitz_force(d, d, Vacuum(), 100e-9, QuadratureConfig(rtol=1e-8))
     assert not res.converged
     assert res.pressure == pytest.approx(ref.pressure, rel=1e-6)
+
+
+def _fields(res):
+    return res.pressure, res.error, res.neval, res.converged
+
+
+@pytest.mark.parametrize("case", ["mirror", "drude", "plasma", "constant", "film",
+                                  "tabulated", "impedance", "budget", "some_budget"])
+def test_imag_axis_sweep_batch_is_bit_identical_to_one_gap_calls(case):
+    # every gap keeps its own outer and inner heaps, so batching the gaps
+    # of a sweep moves no bit of any gap's result
+    metal = FresnelReflection(Drude(WP, GAMMA))
+    film = MultilayerReflection(
+        LayerStack(layers=((2e-8, Drude(WP, GAMMA)),), substrate=Constant(4.0)))
+    gaps = (5e-8, 1.3e-7, 4e-7, 1e-6)
+    r1, r2, Ls, cfg = {
+        "mirror": (PerfectMirror(), PerfectMirror(), gaps, CFG),
+        "drude": (metal, metal, gaps, QuadratureConfig(rtol=1e-8)),
+        "plasma": (FresnelReflection(Plasma(WP)), metal, gaps, QuadratureConfig(rtol=1e-7)),
+        "constant": (ConstantReflection(0.7, -0.6), ConstantReflection(0.5, -0.8), gaps, CFG),
+        "film": (film, metal, gaps[1:], QuadratureConfig(rtol=1e-6)),
+        "tabulated": (FresnelReflection(GOLD_TABLE), FresnelReflection(GOLD_TABLE), gaps,
+                      QuadratureConfig(rtol=1e-6)),
+        "impedance": (ImpedanceReflection(_drude_impedance), metal, gaps[1:],
+                      QuadratureConfig(rtol=1e-5)),
+        "budget": (metal, metal, gaps[:3],
+                   QuadratureConfig(rtol=1e-12, max_subdivisions=10)),
+        # a budget that one inner integral of the narrowest gap exhausts
+        "some_budget": (metal, metal, (1e-9, 1e-8, 1e-6, 1e-4),
+                        QuadratureConfig(rtol=1e-10, max_subdivisions=24)),
+    }[case]
+    batch = force_imag_axis_many(r1, r2, Ls, cfg)
+    assert [_fields(res) for res in batch] == \
+        [_fields(force_imag_axis(r1, r2, L, cfg)) for L in Ls]
+    converged = {"budget": [False] * 3, "some_budget": [False, True, True, True]}
+    assert [res.converged for res in batch] == converged.get(case, [True] * len(Ls))
+
+
+@pytest.mark.parametrize("case", ["drude", "tabulated"])
+def test_lifshitz_sweep_batch_is_bit_identical_to_one_gap_calls(case):
+    eps, cfg = {"drude": (Drude(WP, GAMMA), QuadratureConfig(rtol=1e-7)),
+                "tabulated": (GOLD_TABLE, QuadratureConfig(rtol=1e-4))}[case]
+    Ls = (5e-8, 2e-7, 1e-6) if case == "drude" else (5e-8, 1e-6)
+    batch = lifshitz_force_many(eps, eps, Vacuum(), Ls, cfg)
+    assert [_fields(res) for res in batch] == \
+        [_fields(lifshitz_force(eps, eps, Vacuum(), L, cfg)) for L in Ls]
+    assert all(res.converged and res.path == "lifshitz" for res in batch)
+
+
+def test_sweep_batch_rounds_follow_the_slowest_gap(monkeypatch):
+    # one batch makes one round for all gaps at once: as many rounds as its
+    # slowest gap, slightly more because each outer round takes the most
+    # inner rounds any gap needs in it, and far fewer than the gaps in turn
+    calls = [0]
+    panels = quadrature._panels
+
+    def counted(fx, half):
+        calls[0] += 1
+        return panels(fx, half)
+
+    monkeypatch.setattr(quadrature, "_panels", counted)
+    m = FresnelReflection(Drude(WP, GAMMA))
+    cfg = QuadratureConfig(rtol=1e-8)
+    Ls = np.geomspace(5e-8, 1e-6, 7)
+    alone = []
+    for L in Ls:
+        calls[0] = 0
+        force_imag_axis(m, m, L, cfg)
+        alone.append(calls[0])
+    calls[0] = 0
+    force_imag_axis_many(m, m, Ls, cfg)
+    assert max(alone) <= calls[0] <= 1.25 * max(alone)
+    assert calls[0] < sum(alone) / 4
+
+
+def test_lifshitz_continues_a_shared_slab_once_per_node(monkeypatch):
+    # eps2 is eps1 (identical slabs, as the CLI passes them): each xi of
+    # the inner integrals reaches the Kramers-Kronig continuation once
+    continued = []
+    kk = dielectric._continue_table
+
+    def counted(table, xi):
+        continued.extend(xi.tolist())
+        return kk(table, xi)
+
+    monkeypatch.setattr(dielectric, "_continue_table", counted)
+    res = lifshitz_force(GOLD_TABLE, GOLD_TABLE, Vacuum(), 1e-7, QuadratureConfig(rtol=1e-4))
+    # plus the three probe frequencies of the input check, once per model
+    assert len(continued) == res.neval + 3

@@ -7,7 +7,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casimir import Drude, DrudeLorentz, FresnelReflection, QuadratureConfig, force_imag_axis
+from casimir import (
+    Constant,
+    Drude,
+    DrudeLorentz,
+    FresnelReflection,
+    LayerStack,
+    MultilayerReflection,
+    QuadratureConfig,
+    WaveKinematics,
+    force_imag_axis,
+)
+from casimir.constants import C_LIGHT
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -21,6 +32,12 @@ _lorentz = st.builds(lambda eps_inf, s, w0, g: DrudeLorentz(eps_inf, ((s, w0, g)
                      st.floats(1.0, 5.0), _log_uniform(0.1, 10.0),
                      _log_uniform(1e14, 1e16), _log_uniform(1e12, 1e15))
 media = st.one_of(_drude, _lorentz)
+# a thin passive film on a lossless eps = 4 substrate, or a bulk medium
+slabs = st.one_of(
+    media.map(FresnelReflection),
+    st.builds(lambda medium, d: MultilayerReflection(
+        LayerStack(layers=((d, medium),), substrate=Constant(4.0))),
+        media, _log_uniform(1e-9, 1e-7)))
 
 
 @PROPERTY
@@ -42,3 +59,23 @@ def test_pressure_magnitude_decreases_with_gap(medium1, medium2):
     pressures = [force_imag_axis(r1, r2, L, cfg).pressure for L in (3e-8, 2e-7, 1e-6)]
     assert all(p < 0.0 for p in pressures)
     assert abs(pressures[0]) > abs(pressures[1]) > abs(pressures[2])
+
+
+@PROPERTY
+@given(media)
+def test_real_axis_permittivity_is_passive(medium):
+    omega = np.geomspace(1e11, 1e19, 400)
+    assert np.all(medium.eval(omega).imag >= 0.0)
+
+
+@PROPERTY
+@given(slabs)
+def test_real_axis_amplitudes_are_bounded_by_one(slab):
+    # propagating kinematics Q < omega/c: a passive slab reflects at most
+    # the power that falls on it
+    omega = np.geomspace(1e11, 1e19, 60)
+    frac = np.array([0.0, 0.3, 0.7, 0.95, 0.999])
+    Q = (frac[None, :] * omega[:, None] / C_LIGHT).ravel()
+    r_s, r_p = slab.pair(WaveKinematics.create(Q, np.repeat(omega, frac.size)))
+    assert np.all(np.abs(r_s) <= 1.0 + 1e-12)
+    assert np.all(np.abs(r_p) <= 1.0 + 1e-12)
