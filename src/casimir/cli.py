@@ -258,14 +258,12 @@ def parse_config(path) -> RunConfig:
             "key 'path': the lifshitz path needs both slabs of type 'fresnel'")
 
     quad = _expect_mapping(doc.get("quadrature", {}), "quadrature")
-    _check_keys(quad, "quadrature", {"rtol", "atol", "max_subdivisions"})
+    _check_keys(quad, "quadrature", {"rtol", "max_subdivisions"})
     max_sub = quad.get("max_subdivisions", 2000)
     if isinstance(max_sub, bool) or not isinstance(max_sub, int):
         raise ConfigError("key 'quadrature.max_subdivisions' must be an integer")
     try:
         qcfg = QuadratureConfig(rtol=_number(quad, "quadrature", "rtol", default=1e-9),
-                                atol=_number(quad, "quadrature", "atol", default=0.0,
-                                             minimum=-1.0),
                                 max_subdivisions=max_sub)
     except ValueError as exc:
         raise ConfigError(f"section 'quadrature': {exc}") from exc
@@ -289,13 +287,14 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"key 'dos.points' must be an integer >= 2, got {pts!r}")
         dos_params = {
             "L": L,
-            "Q": _number(d, "dos", "Q", default=0.0, minimum=-1.0),
+            "Q": _number(d, "dos", "Q", default=0.0),
             "k_max": _number(d, "dos", "k_max", default=6.0 * np.pi / L, minimum=0.0),
             "points": pts,
-            "eta": d.get("eta"),
+            "eta": None if d.get("eta") is None else _number(d, "dos", "eta"),
         }
-        if dos_params["eta"] is not None:
-            dos_params["eta"] = _number(d, "dos", "eta", minimum=-1.0)
+        for key in ("Q", "eta"):
+            if dos_params[key] is not None and not dos_params[key] >= 0.0:
+                raise ConfigError(f"key 'dos.{key}' must be >= 0, got {dos_params[key]}")
 
     return RunConfig(slab1=slab1, slab2=slab2, sweep_min=s_min, sweep_max=s_max,
                      sweep_points=points, sweep_spacing=spacing, paths=paths,

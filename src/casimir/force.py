@@ -104,7 +104,7 @@ def _double_integral(inner_many, n, cfg):
     # inner integrals run on relative tolerance alone: an absolute floor in
     # the untransformed variable would be amplified by the transform
     # jacobian wherever the outer integrand decays only algebraically
-    inner_cfg = replace(cfg, rtol=max(0.1 * cfg.rtol, 2e-14))
+    inner_cfg = replace(cfg, rtol=max(0.1 * cfg.rtol, 2e-14), atol=0.0)
     inner_rel = np.zeros(n)
     converged = np.ones(n, dtype=bool)
 
@@ -266,14 +266,15 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     singularity drops out) and then 0 -> infinity (propagating segment,
     truncated octave by octave once the oscillatory tail stops
     contributing).  The k-integrals of every Q node of one outer call run
-    in lockstep.  Practical accuracy is limited; intended as the
+    in lockstep, and each refinement round of the outer grid is one outer
+    call.  Practical accuracy is limited; intended as the
     contour-equivalence validation for dissipative models.
     """
     if L <= 0.0:
         raise ValueError(f"gap width must be positive, got {L}")
     cfg = cfg or QuadratureConfig()
     target = max(cfg.rtol, 1e-6)
-    neval = [0]
+    neval = 0
     seg_cfg = QuadratureConfig(rtol=max(target * 0.1, 1e-10), atol=0.0,
                                max_subdivisions=cfg.max_subdivisions)
 
@@ -303,26 +304,31 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         every segment therefore runs on the absolute tolerance ``floor``,
         never on a tolerance relative to its own (possibly huge) value.  A
         zero floor is bootstrapped from a rough pass.  Returns (values,
-        errors, failures); failures[i] is node i's ConvergenceError or None.
+        errors, ok, partial_sums) with one entry per node: ``ok[i]`` is
+        False where the evanescent segment ran out of budget or the
+        oscillatory tail did not settle, and ``partial_sums[i]`` lists the
+        node's octave contributions.
         """
         def evanescent(idx, phi):
             # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
+            nonlocal neval
             Qp = us[idx]
             s = Qp * np.sin(phi)  # e^{2 i k L} = e^{-2 s} with k = i s/L
             b = round_trips(Qp, Qp * np.cos(phi), np.exp(-2.0 * s))
-            neval[0] += phi.size
+            neval += phi.size
             return -s * s * b.imag
 
         def propagating(idx, kp):
+            nonlocal neval
             Qp = us[idx]
             q = np.sqrt(Qp * Qp + kp * kp)
             b = round_trips(Qp, q, np.exp(2j * kp))
-            neval[0] += kp.size
+            neval += kp.size
             return (kp * kp / q) * b.real
 
         n = us.size
-        ev, ev_err, ev_ok = integrate_many(evanescent, np.zeros(n),
-                                           np.full(n, 0.5 * np.pi), seg_cfg)
+        ev, ev_err, ok = integrate_many(evanescent, np.zeros(n),
+                                        np.full(n, 0.5 * np.pi), seg_cfg)
         k = np.maximum(4.0 * us, 8.0)
         if not floor > 0.0:
             rough, _, _ = integrate_many(propagating, np.zeros(n), k,
@@ -335,26 +341,21 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         # atol only: individual octaves are O(1) and cancel in the sum,
         # so a relative exit criterion would leave errors far above floor
         oc_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
-        tail_bound = np.zeros(n)
+        tail = np.zeros(n)
         prev_bound = np.full(n, np.inf)
         chunks = [[] for _ in range(n)]
-        failures = [None] * n
         live = np.arange(n)
         for octave in range(24):
             bound = envelope(us[live], k[live])
             # remaining octaves bounded by a ~1/k^2 geometric envelope
             settled = bound < floor
-            tail_bound[live[settled]] = 1.5 * bound[settled]
             # non-decaying round trip (e.g. constant r): the oscillatory
             # tail is at best Abel-summable, never absolutely convergent
             stalled = (~settled & (octave >= 3) & (bound > floor)
                        & ~(bound < prev_bound[live]))
-            for i, b in zip(live[stalled].tolist(), bound[stalled].tolist()):
-                failures[i] = ConvergenceError(
-                    "propagating-tail contributions stopped decaying; the "
-                    "real-frequency contour does not converge for this model",
-                    value=total[i] + ev[i], error=err[i] + ev_err[i] + b,
-                    partial_sums=chunks[i])
+            tail[live[settled]] = 1.5 * bound[settled]
+            tail[live[stalled]] = bound[stalled]
+            ok[live[stalled]] = False
             prev_bound[live] = bound
             live = live[~settled & ~stalled]
             if not live.size:
@@ -366,71 +367,60 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             for i, x in zip(live.tolist(), v.tolist()):
                 chunks[i].append(x)
             k[live] *= 2.0
-        for i in live.tolist():
-            failures[i] = ConvergenceError(
-                "oscillatory propagating tail did not settle within 24 octaves",
-                value=total[i] + ev[i], error=err[i] + ev_err[i] + abs(chunks[i][-1]),
-                partial_sums=chunks[i])
-        values = total + ev
-        errors = err + ev_err + tail_bound
-        for i, exc in enumerate(failures):
-            if exc is not None:
-                values[i], errors[i] = exc.value, exc.error
-            elif not ev_ok[i]:
-                failures[i] = ConvergenceError(
-                    "evanescent segment did not converge in "
-                    f"{seg_cfg.max_subdivisions} subdivisions",
-                    value=values[i], error=errors[i])
-        return values, errors, failures
+        else:
+            # still oscillating after 24 octaves: the last one bounds the rest
+            tail[live] = np.abs(v)
+            ok[live] = False
+        return total + ev, err + ev_err + tail, ok, chunks
 
-    scale = [0.0]
-    inner_rel = [0.0]
-    converged = [True]
+    scale = inner_rel = 0.0
+    converged = True
 
     def f(us):
         # one floor for every node of the call, from the running magnitude
         # of the inner integrals at its start, so the outer tails are not
         # resolved to pointless relative precision
-        values, errors, failures = inner_many(us, scale[0] * target * 0.3)
-        if any(failures):
-            converged[0] = False
-        scale[0] = max(scale[0], float(np.max(np.abs(values))))
-        if scale[0] > 0.0:
-            inner_rel[0] = max(inner_rel[0], float(np.max(errors)) / scale[0])
+        nonlocal scale, inner_rel, converged
+        values, errors, ok, _ = inner_many(us, scale * target * 0.3)
+        converged = converged and bool(ok.all())
+        scale = max(scale, float(np.max(np.abs(values))))
+        if scale > 0.0:
+            inner_rel = max(inner_rel, float(np.max(errors)) / scale)
         return us * values
 
     # seed the running magnitude near the peak so every later inner
     # integral gets a meaningful absolute floor; a failure here means the
     # whole contour is hopeless, so it propagates to the caller
-    v0, _, failures = inner_many(np.array([1.0]), 0.0)
-    if failures[0] is not None:
-        raise failures[0]
-    scale[0] = abs(float(v0[0]))
+    v0, e0, ok0, chunks0 = inner_many(np.array([1.0]), 0.0)
+    if not ok0[0]:
+        raise ConvergenceError(
+            "the real-frequency contour does not converge for this model: at "
+            "Q'L = 1 the evanescent segment ran out of budget or the "
+            "propagating tail did not settle",
+            value=v0[0], error=e0[0], partial_sums=chunks0[0])
+    scale = abs(float(v0[0]))
 
     # fixed coarse grid in Q' plus a few bounded refinement rounds; a fully
     # adaptive outer loop would chase the noise floor of the inner integrals
     q_max = max(8.0, 0.5 * math.log(10.0 / target))
     edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, q_max])
-    vals, errs = panel_results(f, edges)
-    panels = [[edges[i], edges[i + 1], vals[i], errs[i]] for i in range(vals.size)]
+    lo, hi = edges[:-1], edges[1:]
+    vals, errs = panel_results(f, lo, hi)
     for _ in range(4):
-        val = sum(p[2] for p in panels)
-        err = sum(p[3] for p in panels)
-        if err <= target * abs(val):
+        if sum(errs.tolist()) <= target * abs(sum(vals.tolist())):
             break
-        # bisect the worst few panels only
-        panels.sort(key=lambda p: -p[3])
-        refined = []
-        for lo, hi, _, _ in panels[:6]:
-            mid = 0.5 * (lo + hi)
-            v2, e2 = panel_results(f, np.array([lo, mid, hi]))
-            refined.append([lo, mid, v2[0], e2[0]])
-            refined.append([mid, hi, v2[1], e2[1]])
-        panels = refined + panels[6:]
-    panels.sort(key=lambda p: p[0])
-    val = float(sum(p[2] for p in panels))
-    err = float(sum(p[3] for p in panels))
+        # bisect the worst few panels only, all in one outer call
+        worst = np.argsort(-errs, kind="stable")[:6]
+        mid = 0.5 * (lo[worst] + hi[worst])
+        a, b = np.concatenate((lo[worst], mid)), np.concatenate((mid, hi[worst]))
+        v, e = panel_results(f, a, b)
+        lo, hi, vals, errs = (np.concatenate((np.delete(old, worst), new))
+                              for old, new in ((lo, a), (hi, b), (vals, v), (errs, e)))
+        # keep the panels in Q' order
+        order = np.argsort(lo)
+        lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
+    val, err = sum(vals.tolist()), sum(errs.tolist())
 
     pref = HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4)
-    return _result(pref * val, pref * (err + inner_rel[0] * abs(val)), L, cfg,
-                   converged[0], neval[0], "real-axis")
+    return _result(pref * val, pref * (err + inner_rel * abs(val)), L, cfg,
+                   converged, neval, "real-axis")

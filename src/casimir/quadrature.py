@@ -106,17 +106,21 @@ def _ordered_sum(heap, idx):
     return float(sum(entry[idx] for entry in sorted(heap, key=lambda t: t[2])))
 
 
-def _evaluate(f, idx, xs, lo, hi):
-    """``f(idx, xs)`` as float rows, one row per integral of the round;
-    every value is checked, and a non-finite one is a DivergenceError
-    naming its row's interval [lo[j], hi[j]]."""
-    fx = np.asarray(f(idx, xs.ravel()), dtype=float).reshape(xs.shape)
+def _score(f, idx, lo, hi):
+    """GK15 values and errors of the panels [lo[j], hi[j]], panel ``j``
+    belonging to integrand ``idx[j]``, from one call ``f(idx, x)`` on the
+    nodes of every panel.  Every value is checked: a non-finite one is a
+    :class:`DivergenceError` naming its panel."""
+    half = 0.5 * (hi - lo)
+    xs = lo[:, None] + half[:, None] * (_XGK + 1.0)
+    fx = np.asarray(f(np.repeat(idx, _XGK.size), xs.ravel()), dtype=float).reshape(xs.shape)
     finite = np.isfinite(fx)
     if not finite.all():
         j = int(np.argmin(finite.all(axis=1)))
         raise DivergenceError(
             f"integrand returned a non-finite value inside [{lo[j]}, {hi[j]}]")
-    return fx
+    with np.errstate(**_PANEL_ERRSTATE):
+        return _panels(fx, half)
 
 
 def integrate_many(f, lo, hi, cfg=None):
@@ -127,7 +131,7 @@ def integrate_many(f, lo, hi, cfg=None):
     error estimate, so each value and error equals what the integral gets
     alone; only the calls to ``f`` are shared, one per bisection round
     holding the 30 new nodes of every unconverged integral, and the one
-    :func:`_panels` pass that scores the round's new panels.  Every value
+    :func:`_score` pass that scores the round's new panels.  Every value
     ``f`` returns is checked: a non-finite one raises
     :class:`DivergenceError`.
 
@@ -143,11 +147,7 @@ def integrate_many(f, lo, hi, cfg=None):
             or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))):
         raise ValueError(f"need finite lo < hi, got {lo}, {hi}")
     n = lo.size
-    half = 0.5 * (hi - lo)
-    xs = lo[:, None] + half[:, None] * (_XGK + 1.0)
-    fx = _evaluate(f, np.repeat(np.arange(n), _XGK.size), xs, lo, hi)
-    with np.errstate(**_PANEL_ERRSTATE):
-        total_val, total_err = _panels(fx, half)
+    total_val, total_err = _score(f, np.arange(n), lo, hi)
     # heap entries: (-err, tiebreak, lo, hi, val, err)
     heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(
         lo.tolist(), hi.tolist(), total_val.tolist(), total_err.tolist())]
@@ -173,13 +173,7 @@ def integrate_many(f, lo, hi, cfg=None):
         # child of integral active[j], row 2j + 1 the right
         ends = popped[:, [2, 2, 3]]
         ends[:, 1] = 0.5 * (ends[:, 0] + ends[:, 2])
-        left = ends[:, :2].ravel()
-        h = 0.5 * (ends[:, 1:].ravel() - left)
-        xs = left[:, None] + h[:, None] * (_XGK + 1.0)
-        fx = _evaluate(f, np.repeat(active, 2 * _XGK.size),
-                       xs.reshape(active.size, -1), ends[:, 0], ends[:, 2])
-        with np.errstate(**_PANEL_ERRSTATE):
-            v, e = _panels(fx.reshape(xs.shape), h)
+        v, e = _score(f, np.repeat(active, 2), ends[:, :2].ravel(), ends[:, 1:].ravel())
         v = v.reshape(-1, 2)
         e = e.reshape(-1, 2)
         total_val[active] += v[:, 0] + v[:, 1] - popped[:, 4]
@@ -248,17 +242,14 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
     return integrate_many(g, np.zeros(n), np.ones(n), cfg)
 
 
-def panel_results(f, edges):
-    """Per-panel GK15 values and error estimates on the sorted grid ``edges``.
+def panel_results(f, lo, hi):
+    """GK15 values and error estimates of the panels [lo[j], hi[j]].
 
-    One vectorized call to ``f``; returns ``(values, errors)`` arrays with
-    one entry per interval.  Building block for callers that manage their
-    own refinement policy.
+    One vectorized call ``f(x)`` on the nodes of every panel, each value
+    checked as in :func:`integrate_many`; returns ``(values, errors)``
+    arrays with one entry per panel.  Building block for callers that
+    manage their own refinement policy.
     """
-    edges = np.asarray(edges, dtype=float)
-    lo = edges[:-1]
-    half = 0.5 * np.diff(edges)
-    nodes = lo[:, None] + half[:, None] * (_XGK[None, :] + 1.0)
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    with np.errstate(**_PANEL_ERRSTATE):
-        return _panels(fx, half)
+    lo = np.asarray(lo, dtype=float)
+    return _score(lambda idx, x: f(x), np.zeros(lo.size, dtype=int), lo,
+                  np.asarray(hi, dtype=float))

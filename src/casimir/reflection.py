@@ -305,16 +305,11 @@ class MultilayerReflection(ReflectionModel):
 
     def imag_axis(self, xi):
         """Stack amplitudes at i*xi with every medium's eps evaluated once
-        per node at a scalar frequency, so each value equals a per-node
-        :meth:`pair` call."""
+        per node, in one array call per medium."""
         xi = np.asarray(xi, dtype=float)
-
-        def per_node(medium):
-            return np.array([complex(medium.eval(1j * x)) for x in xi.tolist()])
-
         sub = self.stack.substrate
-        eps_sub = None if sub == MIRROR else per_node(sub)
-        eps_layers = [per_node(medium) for _, medium in self.stack.layers]
+        eps_sub = None if sub == MIRROR else sub.eval(1j * xi)
+        eps_layers = [medium.eval(1j * xi) for _, medium in self.stack.layers]
 
         def amplitudes(idx, Q):
             kin = WaveKinematics.create(Q, 1j * xi[idx])

@@ -157,6 +157,26 @@ def test_cli_exit_code_on_config_error(tmp_path, capsys):
     assert "slab2" in capsys.readouterr().err
 
 
+def test_quadrature_atol_is_not_a_config_key(tmp_path):
+    cfg = _write(tmp_path, MIRROR_CFG.replace("{rtol: 1.0e-7}", "{rtol: 1.0e-7, atol: 1.0e-30}"))
+    with pytest.raises(ConfigError, match="quadrature.atol"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["Q", "eta"])
+def test_negative_dos_parameter_is_a_config_error(tmp_path, capsys, key):
+    text = """
+slab1: {type: mirror}
+slab2: {type: mirror}
+dos: {L: 1.0e-6, points: 6, %s: %s}
+"""
+    cfg = _write(tmp_path, text % (key, "-0.5"))
+    assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+    assert f"dos.{key}" in capsys.readouterr().err
+    # zero stays valid
+    assert parse_config(_write(tmp_path, text % (key, "0.0"))).dos_params[key] == 0.0
+
+
 def test_cli_exit_code_on_nonconverged(tmp_path, capsys):
     # constant reflection on the real-axis path cannot converge
     cfg = _write(tmp_path, """

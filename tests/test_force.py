@@ -179,6 +179,33 @@ def test_real_axis_error_covers_deviation_and_is_deterministic(L):
     assert force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3)) == res
 
 
+def test_real_axis_refinement_round_is_one_outer_call(monkeypatch):
+    # the coarse grid is one outer call, and so is each refinement round
+    # that bisects the six worst panels
+    from casimir import force
+    calls = []
+    panel_results = force.panel_results
+
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return panel_results(f, lo, hi)
+
+    monkeypatch.setattr(force, "panel_results", counted)
+    m = FresnelReflection(Drude(1e16, 1e14))
+    res = force_real_axis(m, m, 40e-9, QuadratureConfig(rtol=1e-3))
+    assert calls == [8, 12, 12, 12, 12]
+    assert res.converged and res.neval == 1149330
+
+
+def test_inner_integrals_ignore_the_callers_atol():
+    # an absolute floor on the outer integral must not reach the inner ones,
+    # where it would let tiny inner values stop with a huge relative error
+    m = FresnelReflection(Drude(WP, GAMMA))
+    want = force_imag_axis(m, m, 1e-7, QuadratureConfig(rtol=1e-8))
+    assert force_imag_axis(m, m, 1e-7, QuadratureConfig(rtol=1e-8, atol=1e-30)) == want
+    assert want.error < 1e-6 * abs(want.pressure)
+
+
 def test_real_axis_rejects_nondecaying_round_trip():
     # constant reflection never decays along the real axis: only Abel
     # summable, so the literal contour must refuse with partial sums

@@ -164,12 +164,23 @@ def test_panel_results_rows_are_the_first_panels_of_integrate_many():
     def f(x):
         return np.exp(-x) * np.cos(5.0 * x)
 
-    vals, errs = panel_results(f, edges)
+    vals, errs = panel_results(f, edges[:-1], edges[1:])
     values, errors, ok = integrate_many(lambda idx, x: f(x), edges[:-1], edges[1:],
                                         QuadratureConfig(atol=1e300))
     assert ok.all()
     assert vals.tolist() == values.tolist()
     assert errs.tolist() == errors.tolist()
+
+
+def test_panel_results_and_integrate_many_reject_a_nan_panel():
+    def f(x):
+        return np.where((x > 1.0) & (x < 2.0), np.nan, np.exp(-x))
+
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    with pytest.raises(DivergenceError, match=r"non-finite value inside \[1.0, 2.0\]"):
+        panel_results(f, lo, hi)
+    with pytest.raises(DivergenceError, match=r"non-finite value inside \[1.0, 2.0\]"):
+        integrate_many(lambda idx, x: f(x), lo, hi)
 
 
 def test_integrate_many_scores_a_round_in_one_panel_pass(monkeypatch):

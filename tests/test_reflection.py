@@ -177,6 +177,29 @@ def test_imag_axis_continues_tabulated_eps_once_per_node(monkeypatch):
     assert len(continued) == 2 * xi.size
 
 
+def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
+    # each medium is evaluated in one array call; the amplitudes equal those
+    # built from one scalar eval per node and medium
+    from casimir.reflection import _stack_reflection
+    rng = np.random.default_rng(5)
+    layers = ((2e-8, Drude(WP, GAMMA)), (5e-9, DrudeLorentz(1.5, ((2.0, 3e15, 1e14),))),
+              (1e-8, Plasma(WP)))
+    stack = LayerStack(layers=layers, substrate=Constant(4.0))
+    xi = np.geomspace(1e11, 1e19, 2000)
+    idx = rng.integers(0, xi.size, 500)
+    Q = np.geomspace(1e3, 1e9, idx.size)
+    got = MultilayerReflection(stack).imag_axis(xi)(idx, Q)
+
+    def per_node(medium):
+        return np.array([complex(medium.eval(1j * x)) for x in xi.tolist()])
+
+    want = _stack_reflection(stack, per_node(stack.substrate)[idx],
+                             [per_node(m)[idx] for _, m in layers],
+                             WaveKinematics.create(Q, 1j * xi[idx]))
+    for g, w in zip(got, want):
+        assert g.tolist() == w.real.tolist()
+
+
 def test_fresnel_imag_axis_matches_per_node_scalar_eps_bit_for_bit():
     # binding the nodes as one array must give, to the bit, what one node
     # at a time gives (Plasma's scalar and array eval_iw share one formula)
