@@ -100,6 +100,8 @@ def _number(node, context, key, default=None, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{context}.{key}' must be a number, got {value!r}")
     value = float(value)
+    if not np.isfinite(value):
+        raise ConfigError(f"key '{context}.{key}' must be finite, got {value}")
     if minimum is not None and value <= minimum:
         raise ConfigError(f"key '{context}.{key}' must be > {minimum}, got {value}")
     return value

@@ -8,6 +8,7 @@ imaginary axis every shipped model returns a real permittivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,11 @@ class OpticalTable:
         if self.re_eps is not None and self.re_eps.shape != omega.shape:
             raise OpticalTableError("Re eps column length does not match the grid")
 
+    @cached_property
+    def _chebyshev(self):
+        """:func:`_chebyshev_of_table` of this table, built on first use."""
+        return _chebyshev_of_table(self)
+
 
 def load_optical_table(path) -> OpticalTable:
     """Read a whitespace-separated (omega, Im eps[, Re eps]) text file.
@@ -269,6 +275,59 @@ def _continue_table(table: OpticalTable, xi):
     return 1.0 + (2.0 / np.pi) * (low + main + high)
 
 
+# The piecewise Chebyshev interpolant of a table's eps(i xi): geometric
+# panels, each with _CHEB_N first-kind nodes in a variable linear in xi (one
+# linear in ln xi would add 1-2e-14 of exp/log roundoff)
+_CHEB_EDGES = np.geomspace(1e8, 1e22, 65)
+_CHEB_MID = 0.5 * (_CHEB_EDGES[1:] + _CHEB_EDGES[:-1])
+_CHEB_HALF = 0.5 * (_CHEB_EDGES[1:] - _CHEB_EDGES[:-1])
+_CHEB_N = 18
+_CHEB_RTOL = 8e-15
+
+
+def _clenshaw(coef, x):
+    """Chebyshev series with coefficient rows ``coef`` at ``x`` in [-1, 1]."""
+    b1 = b2 = 0.0
+    for j in range(_CHEB_N - 1, 0, -1):
+        b1, b2 = coef[:, j] + 2.0 * x * b1 - b2, b1
+    return coef[:, 0] + x * b1 - b2
+
+
+def _chebyshev_of_table(table: OpticalTable):
+    """Chebyshev coefficients of the table's interpolant, one row per panel,
+    or None if between its nodes it misses :func:`_continue_table` by more
+    than _CHEB_RTOL relative anywhere."""
+    mid, half = _CHEB_MID[:, None], _CHEB_HALF[:, None]
+    theta = (np.arange(_CHEB_N) + 0.5) * (np.pi / _CHEB_N)
+    f = _continue_table(table, (mid + half * np.cos(theta)).ravel())
+    cos = np.cos(np.arange(_CHEB_N)[:, None] * theta)
+    coef = (2.0 / _CHEB_N) * np.add.reduce(f.reshape(-1, 1, _CHEB_N) * cos, axis=2)
+    coef[:, 0] *= 0.5
+    # the interpolation error peaks at the extrema of T_n, among them the
+    # ends and (n even) the middle of each panel
+    x = np.array([-1.0, 0.0, 1.0])
+    got = _clenshaw(np.repeat(coef, x.size, axis=0), np.tile(x, mid.size))
+    want = _continue_table(table, (mid + half * x).ravel())
+    return None if np.any(np.abs(got - want) > _CHEB_RTOL * np.abs(want)) else coef
+
+
+def _table_eps_iw(table: OpticalTable, xi):
+    """eps(i xi) at a 1-D array ``xi``: the table's interpolant, built on the
+    first call, inside [1e8, 1e22] rad/s, :func:`_continue_table` outside it
+    or where the interpolant failed its check."""
+    coef = table._chebyshev
+    if coef is None:
+        return _continue_table(table, xi)
+    # clipped, so that no xi outside the range overflows the series
+    xc = np.clip(xi, _CHEB_EDGES[0], _CHEB_EDGES[-1])
+    k = np.minimum(np.searchsorted(_CHEB_EDGES, xc, side="right") - 1, _CHEB_MID.size - 1)
+    out = _clenshaw(coef[k], (xc - _CHEB_MID[k]) / _CHEB_HALF[k])
+    outside = xc != xi
+    if outside.any():
+        out[outside] = _continue_table(table, xi[outside])
+    return out
+
+
 def permittivity_from_table(table: OpticalTable, xi: float) -> float:
     """Continue tabulated absorption data to the imaginary axis.
 
@@ -277,11 +336,13 @@ def permittivity_from_table(table: OpticalTable, xi: float) -> float:
     grid, a 1/w^3 tail above it and, below it, a Drude-type tail
     A/(w (w^2 + B^2)) fitted to the two lowest grid points when w Im eps
     falls there, else the insulator tail Im eps = y0 w / w0 that goes
-    linearly to zero from the first point.
+    linearly to zero from the first point.  Between 1e8 and 1e22 rad/s the
+    closed form is read from a piecewise Chebyshev interpolant, built once
+    per table and checked against it at build time.
     """
     if not np.isreal(xi) or xi <= 0.0:
         raise FrequencyDomainError(f"xi must be real > 0, got {xi}")
-    return float(_continue_table(table, np.array([float(xi)]))[0])
+    return float(_table_eps_iw(table, np.array([float(xi)]))[0])
 
 
 @dataclass(frozen=True)
@@ -311,4 +372,4 @@ class Tabulated(DielectricModel):
         return np.interp(om, tb.omega, tb.re_eps) + 1j * np.interp(om, tb.omega, tb.im_eps)
 
     def _eval_iw(self, xi):
-        return _continue_table(self.table, np.ravel(xi)).reshape(np.shape(xi))
+        return _table_eps_iw(self.table, np.ravel(xi)).reshape(np.shape(xi))

@@ -91,8 +91,8 @@ def _gaps(Ls):
 
 
 def _double_integral(inner_many, n, cfg):
-    """``n`` outer semi-infinite integrals over u, run in lockstep together
-    with the inner integrals of each outer round.
+    """``n`` outer integrals over [0, inf), run in lockstep together with
+    the inner integrals of each outer round.
 
     ``inner_many(j, us, inner_cfg) -> (values, errors, ok)`` computes the
     inner integral of outer integral ``j[i]`` at node ``us[i]``, for every
@@ -133,36 +133,36 @@ def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
                          cfg: QuadratureConfig | None = None) -> list[ForceResult]:
     """:func:`force_imag_axis` at every gap of ``Ls``, in one lockstep call.
 
-    In u = xi L / c and v = Q L every gap has the same outer domain and
-    scale, so the outer integrals of all gaps run as one batch and every
-    round evaluates the amplitudes of all gaps in one array call.  Returns
-    one ForceResult per gap, each equal to what the gap gets alone.  An
-    error raised for any gap (e.g. :class:`PassivityError`) aborts the
-    whole batch.
+    In w = kappa L and t = cos(theta) every gap has the same domain, so the
+    outer integrals of all gaps run as one batch and every round evaluates
+    the amplitudes of all gaps in one array call.  Returns one ForceResult
+    per gap, each equal to what the gap gets alone.  An error raised for
+    any gap (e.g. :class:`PassivityError`) aborts the whole batch.
     """
     Ls = _gaps(Ls)
     cfg = cfg or QuadratureConfig()
     n = Ls.size
     neval = np.zeros(n, dtype=np.int64)
 
-    def inner_many(j, us, cfg_u):
-        gap = Ls[j]
-        xi = us * C_LIGHT / gap
-        amps1 = r1.imag_axis(xi)
-        amps2 = amps1 if r2 is r1 else r2.imag_axis(xi)
-
-        def g(idx, v):
-            Q = v / gap[idx]
-            rs1, rp1 = amps1(idx, Q)
-            rs2, rp2 = (rs1, rp1) if amps2 is amps1 else amps2(idx, Q)
+    # xi = w t c / L and Q = w sqrt(1 - t^2) / L; the w^3 dw weight
+    # multiplies the inner integrals
+    def inner_many(j, ws, cfg_t):
+        def g(idx, t):
+            w, gap = ws[idx], Ls[j[idx]]
+            xi = w * t * (C_LIGHT / gap)
+            Q = w * np.sqrt((1.0 - t) * (1.0 + t)) / gap
+            rs1, rp1 = r1.imag_axis(xi, Q)
+            rs2, rp2 = (rs1, rp1) if r2 is r1 else r2.imag_axis(xi, Q)
             prod_s = rs1 * rs2
             prod_p = rp1 * rp2
             _check_passive(prod_s, "(xi, Q)")
             _check_passive(prod_p, "(xi, Q)")
             neval[:] += np.bincount(j[idx], minlength=n)
-            return kernels.force_integrand_iw(us[idx], v, prod_s, prod_p)
+            return kernels.force_integrand_wt(w, prod_s, prod_p)
 
-        return integrate_semi_infinite_many(g, 0.0, 1.0 + np.sqrt(us), cfg_u)
+        values, errors, ok = integrate_many(g, np.zeros(ws.size), np.ones(ws.size), cfg_t)
+        weight = ws * ws * ws
+        return weight * values, weight * errors, ok
 
     values, errors, ok = _double_integral(inner_many, n, cfg)
     return _results(Ls, lambda L: HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4),
@@ -175,8 +175,9 @@ def force_imag_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
 
     P = -(hbar / 2 pi^2) Int dxi Int dQ Q kappa
         Sum_pol r1 r2 e^{-2 kappa L} / (1 - r1 r2 e^{-2 kappa L}),
-    nondimensionalized with u = xi L / c and v = Q L.  The one-gap case of
-    :func:`force_imag_axis_many`.
+    in the polar variables w = kappa L, t = cos(theta) = xi / (c kappa):
+    P = -(hbar c / 2 pi^2 L^4) Int_0^inf dw w^3 Int_0^1 dt Sum_pol g/(1-g),
+    with g = r1 r2 e^{-2w}.  The one-gap case of :func:`force_imag_axis_many`.
     """
     return force_imag_axis_many(r1, r2, [L], cfg)[0]
 

@@ -45,6 +45,15 @@ def force_integrand_iw(u, v, prod_s, prod_p):
     return v * w * (gs / (1.0 - gs) + gp / (1.0 - gp))
 
 
+def force_integrand_wt(w, prod_s, prod_p):
+    """Imaginary-axis pressure integrand at w = kappa L, less its w^3 weight:
+    Sum_pol g/(1-g), g = r1 r2 e^{-2w}, ``prod_*`` the products r1*r2."""
+    e = np.exp(-2.0 * w)
+    gs = prod_s * e
+    gp = prod_p * e
+    return gs / (1.0 - gs) + gp / (1.0 - gp)
+
+
 def lifshitz_inner(xi, p, e1, e2, e3, L_over_c):
     """Inner (xi) integrand of the semi-infinite-slab pressure formula.
 

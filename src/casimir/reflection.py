@@ -168,18 +168,6 @@ def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
     return tuple(pair)
 
 
-_IMAG_TOL = 1e-9
-
-
-def _real_on_imag_axis(model, r):
-    """Real part of amplitudes computed at i*xi, which must be real."""
-    r = np.asarray(r, dtype=complex)
-    if np.any(np.abs(r.imag) > _IMAG_TOL * (1.0 + np.abs(r))):
-        raise ValueError(
-            f"model {model!r} returned a non-real amplitude on the imaginary axis")
-    return r.real.astype(float)
-
-
 class ReflectionModel:
     """Maps wave kinematics to the complex reflection amplitudes (r_s, r_p).
 
@@ -196,22 +184,19 @@ class ReflectionModel:
         """Amplitude of polarization ``pol`` ("s" or "p") at (Q, freq)."""
         return _pick(pol, self.pair(WaveKinematics.create(Q, freq)))
 
-    def imag_axis(self, xi):
-        """Bind the model to the imaginary-axis nodes ``xi`` (1D, rad/s).
+    def imag_axis(self, xi, Q):
+        """(r_s, r_p) as real float arrays at freq = 1j*xi (rad/s) and
+        parallel wavevector Q, point by point (arrays of one shape).
 
-        Returns ``amplitudes(idx, Q) -> (r_s, r_p)``, real float arrays at
-        freq = 1j*xi[idx] and parallel wavevector Q (same shape as idx).
         This generic route makes one ``pair`` call on all points and checks
-        that the amplitudes are real; subclasses override it to evaluate
-        eps once per node.
+        that the amplitudes are real.
         """
-        xi = np.asarray(xi, dtype=float)
-
-        def amplitudes(idx, Q):
-            r_s, r_p = self.pair(WaveKinematics.create(Q, 1j * xi[idx]))
-            return _real_on_imag_axis(self, r_s), _real_on_imag_axis(self, r_p)
-
-        return amplitudes
+        kin = WaveKinematics.create(Q, 1j * xi)
+        pair = [np.asarray(r, dtype=complex) for r in self.pair(kin)]
+        if any(np.any(np.abs(r.imag) > 1e-9 * (1.0 + np.abs(r))) for r in pair):
+            raise ValueError(
+                f"model {self!r} returned an amplitude that is not real on the imaginary axis")
+        return pair[0].real, pair[1].real
 
 
 def _shape(kin):
@@ -226,13 +211,6 @@ class PerfectMirror(ReflectionModel):
         r = np.full(_shape(kin), -1.0 + 0.0j)
         return r, r
 
-    def imag_axis(self, xi):
-        def amplitudes(idx, Q):
-            r = np.full(np.shape(Q), -1.0)
-            return r, r.copy()
-
-        return amplitudes
-
 
 @dataclass(frozen=True)
 class ConstantReflection(ReflectionModel):
@@ -245,18 +223,6 @@ class ConstantReflection(ReflectionModel):
         shape = _shape(kin)
         return np.full(shape, complex(self.r_s)), np.full(shape, complex(self.r_p))
 
-    def imag_axis(self, xi):
-        for r in (self.r_s, self.r_p):
-            if abs(complex(r).imag) > _IMAG_TOL:
-                raise ValueError(
-                    f"constant amplitude {r} is not real on the imaginary axis")
-        r_s, r_p = float(np.real(self.r_s)), float(np.real(self.r_p))
-
-        def amplitudes(idx, Q):
-            return np.full(np.shape(Q), r_s), np.full(np.shape(Q), r_p)
-
-        return amplitudes
-
 
 @dataclass(frozen=True)
 class FresnelReflection(ReflectionModel):
@@ -265,15 +231,9 @@ class FresnelReflection(ReflectionModel):
     def pair(self, kin):
         return _fresnel_pair(self.dielectric.eval(kin.freq), kin)
 
-    def imag_axis(self, xi):
-        """Fresnel amplitudes at i*xi with eps(i*xi) evaluated once per node."""
-        xi = np.asarray(xi, dtype=float)
-        eps = np.asarray(self.dielectric.eval_iw(xi), dtype=float)
-
-        def amplitudes(idx, Q):
-            return kernels.fresnel_rs_rp_iw(eps[idx], xi[idx] / C_LIGHT, Q)
-
-        return amplitudes
+    def imag_axis(self, xi, Q):
+        """Fresnel amplitudes at i*xi from the real kernel."""
+        return kernels.fresnel_rs_rp_iw(self.dielectric.eval_iw(xi), xi / C_LIGHT, Q)
 
 
 @dataclass(frozen=True)
@@ -302,19 +262,3 @@ class MultilayerReflection(ReflectionModel):
         eps_sub = None if sub == MIRROR else sub.eval(kin.freq)
         eps_layers = [medium.eval(kin.freq) for _, medium in self.stack.layers]
         return _stack_reflection(self.stack, eps_sub, eps_layers, kin)
-
-    def imag_axis(self, xi):
-        """Stack amplitudes at i*xi with every medium's eps evaluated once
-        per node, in one array call per medium."""
-        xi = np.asarray(xi, dtype=float)
-        sub = self.stack.substrate
-        eps_sub = None if sub == MIRROR else sub.eval(1j * xi)
-        eps_layers = [medium.eval(1j * xi) for _, medium in self.stack.layers]
-
-        def amplitudes(idx, Q):
-            kin = WaveKinematics.create(Q, 1j * xi[idx])
-            sub_idx = None if eps_sub is None else eps_sub[idx]
-            pair = _stack_reflection(self.stack, sub_idx, [eps[idx] for eps in eps_layers], kin)
-            return tuple(_real_on_imag_axis(self, r) for r in pair)
-
-        return amplitudes

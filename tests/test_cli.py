@@ -177,6 +177,18 @@ dos: {L: 1.0e-6, points: 6, %s: %s}
     assert parse_config(_write(tmp_path, text % (key, "0.0"))).dos_params[key] == 0.0
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("run", "sweep: {min: %s, points: 1}", ".nan"),
+    ("run", "sweep: {min: %s, points: 1}", "-.inf"),
+    ("dos", "dos: {L: %s, points: 6}", ".inf"),
+], ids=["run-nan", "run-neg-inf", "dos-inf"])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, section, value):
+    text = "slab1: {type: mirror}\nslab2: {type: mirror}\n" + section % value + "\n"
+    cfg = _write(tmp_path, text)
+    assert main([command, str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_nonconverged(tmp_path, capsys):
     # constant reflection on the real-axis path cannot converge
     cfg = _write(tmp_path, """

@@ -233,3 +233,24 @@ def test_kk_continuation_matches_a_40_digit_oracle():
             worst = max(abs(float(got / _kk_oracle(table, x) - 1))
                         for x, got in zip(xi.tolist(), scalar))
             assert worst <= 1e-14
+
+
+def test_table_interpolant_matches_the_closed_form_or_steps_aside(monkeypatch):
+    # inside [1e8, 1e22] rad/s eps(i xi) comes from the table's interpolant,
+    # outside it from the closed form itself; a table whose interpolant
+    # fails its build-time check keeps the closed form everywhere
+    from casimir import dielectric
+    gold = load_optical_table(Path(__file__).resolve().parents[1] / "data" / "gold_drude.dat")
+    xi = np.geomspace(1e9, 1e21, 3001)
+    exact = dielectric._continue_table(gold, xi)
+    got = Tabulated(gold).eval_iw(xi)
+    assert gold._chebyshev is not None and not np.array_equal(got, exact)
+    assert np.max(np.abs(got / exact - 1.0)) <= 1e-14
+    beyond = np.array([1e6, 9.9e7, 1.01e22, 1e24])
+    assert np.array_equal(Tabulated(gold).eval_iw(beyond),
+                          dielectric._continue_table(gold, beyond))
+
+    monkeypatch.setattr(dielectric, "_CHEB_RTOL", 0.0)
+    strict = load_optical_table(Path(__file__).resolve().parents[1] / "data" / "gold_drude.dat")
+    assert strict._chebyshev is None
+    assert np.array_equal(Tabulated(strict).eval_iw(xi), exact)

@@ -107,7 +107,7 @@ def test_imag_axis_amplitudes_fast_path_matches_generic():
     model = FresnelReflection(Drude(WP, GAMMA))
     Q = np.geomspace(1e4, 1e8, 30)
     xi = 2e15
-    rs, rp = model.imag_axis(np.array([xi]))(np.zeros(Q.size, dtype=int), Q)
+    rs, rp = model.imag_axis(np.full(Q.size, xi), Q)
     rs_ref = model.amplitude("s", Q, 1j * xi)
     rp_ref = model.amplitude("p", Q, 1j * xi)
     np.testing.assert_allclose(rs, np.real(rs_ref), rtol=1e-12)
@@ -115,7 +115,8 @@ def test_imag_axis_amplitudes_fast_path_matches_generic():
 
 
 def test_imag_axis_matches_amplitude_for_every_model():
-    # three nodes, interleaved in idx as the lockstep quadrature hands them over
+    # three frequencies, interleaved point by point as the lockstep quadrature
+    # hands them over
     xi = np.array([3e13, 2e15, 7e16])
     idx = np.tile([2, 0, 1], 8)
     Q = np.geomspace(1e4, 1e8, idx.size)
@@ -134,7 +135,7 @@ def test_imag_axis_matches_amplitude_for_every_model():
             pol, WaveKinematics.create(Q, freq))),
     )
     for model in models:
-        got = model.imag_axis(xi)(idx, Q)
+        got = model.imag_axis(xi[idx], Q)
         for pol, r in zip(("s", "p"), got):
             want = np.real(model.amplitude(pol, Q, 1j * xi[idx]))
             assert r.dtype == float
@@ -143,12 +144,13 @@ def test_imag_axis_matches_amplitude_for_every_model():
 
 def test_imag_axis_rejects_complex_constant():
     with pytest.raises(ValueError, match="not real"):
-        ConstantReflection(r_s=0.4 + 0.1j, r_p=-0.2).imag_axis(np.array([1e15]))
+        ConstantReflection(r_s=0.4 + 0.1j, r_p=-0.2).imag_axis(np.array([1e15]),
+                                                              np.array([1e6]))
 
 
-def test_imag_axis_continues_tabulated_eps_once_per_node(monkeypatch):
-    # Fresnel and multilayer slabs bind eps once per node, never per point:
-    # count the xi values that reach the Kramers-Kronig continuation
+def test_imag_axis_builds_a_shared_tables_interpolant_once(monkeypatch):
+    # the Kramers-Kronig continuation runs only to build the table's
+    # interpolant, once per table object, never per point
     from casimir import dielectric
     continued = []
     kk = dielectric._continue_table
@@ -160,26 +162,21 @@ def test_imag_axis_continues_tabulated_eps_once_per_node(monkeypatch):
     monkeypatch.setattr(dielectric, "_continue_table", counted)
     omega = np.geomspace(1e13, 1e18, 200)
     gold = Tabulated(OpticalTable(omega=omega, im_eps=Drude(WP, GAMMA).eval(omega).imag))
-    xi = np.array([3e13, 2e15, 7e16])
-    idx = np.tile([2, 0, 1], 8)
-    Q = np.geomspace(1e4, 1e8, idx.size)
+    xi = np.geomspace(1e11, 1e19, 3000)
+    Q = np.geomspace(1e4, 1e8, xi.size)
 
-    amplitudes = FresnelReflection(gold).imag_axis(xi)
-    assert len(continued) == xi.size
-    amplitudes(idx, Q)
-    assert len(continued) == xi.size
-
-    continued.clear()
+    FresnelReflection(gold).imag_axis(xi[:3], Q[:3])
+    built = len(continued)
+    assert gold.table._chebyshev is not None and built < xi.size
+    FresnelReflection(gold).imag_axis(xi, Q)
     film = MultilayerReflection(LayerStack(layers=((2e-8, gold),), substrate=gold))
-    amplitudes = film.imag_axis(xi)
-    assert len(continued) == 2 * xi.size
-    amplitudes(idx, Q)
-    assert len(continued) == 2 * xi.size
+    film.imag_axis(xi, Q)
+    assert len(continued) == built
 
 
 def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
-    # each medium is evaluated in one array call; the amplitudes equal those
-    # built from one scalar eval per node and medium
+    # each medium is evaluated in one array call on every point; the
+    # amplitudes equal those built from one scalar eval per point and medium
     from casimir.reflection import _stack_reflection
     rng = np.random.default_rng(5)
     layers = ((2e-8, Drude(WP, GAMMA)), (5e-9, DrudeLorentz(1.5, ((2.0, 3e15, 1e14),))),
@@ -188,7 +185,7 @@ def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
     xi = np.geomspace(1e11, 1e19, 2000)
     idx = rng.integers(0, xi.size, 500)
     Q = np.geomspace(1e3, 1e9, idx.size)
-    got = MultilayerReflection(stack).imag_axis(xi)(idx, Q)
+    got = MultilayerReflection(stack).imag_axis(xi[idx], Q)
 
     def per_node(medium):
         return np.array([complex(medium.eval(1j * x)) for x in xi.tolist()])
@@ -201,12 +198,12 @@ def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
 
 
 def test_fresnel_imag_axis_matches_per_node_scalar_eps_bit_for_bit():
-    # binding the nodes as one array must give, to the bit, what one node
+    # one array call on every point must give, to the bit, what one point
     # at a time gives (Plasma's scalar and array eval_iw share one formula)
     model = FresnelReflection(Plasma(WP))
     xi = np.geomspace(1e12, 1e18, 20000)
     Q = np.full(xi.size, 1e6)
-    got = model.imag_axis(xi)(np.arange(xi.size), Q)
+    got = model.imag_axis(xi, Q)
     want = np.array([kernels.fresnel_rs_rp_iw(float(model.dielectric.eval_iw(x)),
                                               x / C_LIGHT, Q[:1])
                      for x in xi.tolist()])[:, :, 0].T
@@ -225,9 +222,9 @@ def test_imag_axis_hands_impedance_array_frequencies():
     xi = np.array([3e13, 2e15])
     idx = np.array([1, 0, 1, 0])
     Q = np.full(idx.size, 1e6)
-    amplitudes = ImpedanceReflection(impedance=impedance).imag_axis(xi)
+    model = ImpedanceReflection(impedance=impedance)
     for round_ in (1, 2):
-        amplitudes(idx, Q)
+        model.imag_axis(xi[idx], Q)
         assert [pol for pol, _ in seen] == ["s", "p"] * round_
     for _, freq in seen:
         assert freq.shape == Q.shape
@@ -307,7 +304,7 @@ def test_multilayer_is_real_on_imag_axis():
                        substrate=Constant(5.0))
     model = MultilayerReflection(stack)
     Q = np.geomspace(1e5, 1e8, 10)
-    rs, rp = model.imag_axis(np.array([1e15]))(np.zeros(Q.size, dtype=int), Q)
+    rs, rp = model.imag_axis(np.full(Q.size, 1e15), Q)
     assert np.all(np.abs(rs) <= 1.0)
     assert np.all(np.abs(rp) <= 1.0)
 
