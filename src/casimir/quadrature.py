@@ -135,6 +135,11 @@ def integrate_many(f, lo, hi, cfg=None):
     ``f`` returns is checked: a non-finite one raises
     :class:`DivergenceError`.
 
+    ``lo`` and ``hi`` of shape (n, m) start integral ``i`` from the m
+    panels [lo[i, j], hi[i, j]] instead of one; its starting value and
+    error are their sums taken in order of ``j``, and the m panels count
+    as m subdivisions.
+
     Returns ``(values, errors, ok)`` arrays.  Where the subdivision budget
     runs out ``ok[i]`` is False and ``values[i]``, ``errors[i]`` are the
     partial sum and running error that :func:`integrate`'s
@@ -143,21 +148,32 @@ def integrate_many(f, lo, hi, cfg=None):
     cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if (lo.ndim != 1 or lo.shape != hi.shape
+    if (lo.ndim not in (1, 2) or lo.shape != hi.shape
             or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))):
         raise ValueError(f"need finite lo < hi, got {lo}, {hi}")
-    n = lo.size
-    total_val, total_err = _score(f, np.arange(n), lo, hi)
+    n, m = lo.shape[0], lo.shape[1] if lo.ndim == 2 else 1
+    idx = np.arange(n) if m == 1 else np.repeat(np.arange(n), m)
+    vals, errs = _score(f, idx, lo.ravel(), hi.ravel())
     # heap entries: (-err, tiebreak, lo, hi, val, err)
-    heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(
-        lo.tolist(), hi.tolist(), total_val.tolist(), total_err.tolist())]
+    if m == 1:
+        total_val, total_err = vals, errs
+        heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(
+            lo.ravel().tolist(), hi.ravel().tolist(), vals.tolist(), errs.tolist())]
+    else:
+        vals, errs = vals.reshape(n, m).tolist(), errs.reshape(n, m).tolist()
+        total_val = np.array([sum(row) for row in vals])
+        total_err = np.array([sum(row) for row in errs])
+        heaps = [[(-e, j, a, b, v, e) for j, (a, b, v, e) in enumerate(zip(*row))]
+                 for row in zip(lo.tolist(), hi.tolist(), vals, errs)]
+        for heap in heaps:
+            heapq.heapify(heap)
 
     values = np.empty(n)
     ok = np.ones(n, dtype=bool)
     active = np.arange(n)
     # every live integral is bisected once a round, so all active
     # integrals have used the same number of subdivisions
-    n_sub = 1
+    n_sub = m
     while True:
         done = ~(total_err > np.fmax(cfg.atol, cfg.rtol * np.abs(total_val)))[active]
         if n_sub >= cfg.max_subdivisions:
@@ -178,7 +194,8 @@ def integrate_many(f, lo, hi, cfg=None):
         e = e.reshape(-1, 2)
         total_val[active] += v[:, 0] + v[:, 1] - popped[:, 4]
         total_err[active] += e[:, 0] + e[:, 1] - popped[:, 5]
-        seq = 2 * n_sub - 1
+        # tiebreaks 0..m-1 number the starting panels; children follow on
+        seq = 2 * n_sub - m
         for i, (lo_i, mid_i, hi_i), (v1, v2), (e1, e2) in zip(
                 active.tolist(), ends.tolist(), v.tolist(), e.tolist()):
             heapq.heappush(heaps[i], (-e1, seq, lo_i, mid_i, v1, e1))
@@ -241,15 +258,3 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
 
     return integrate_many(g, np.zeros(n), np.ones(n), cfg)
 
-
-def panel_results(f, lo, hi):
-    """GK15 values and error estimates of the panels [lo[j], hi[j]].
-
-    One vectorized call ``f(x)`` on the nodes of every panel, each value
-    checked as in :func:`integrate_many`; returns ``(values, errors)``
-    arrays with one entry per panel.  Building block for callers that
-    manage their own refinement policy.
-    """
-    lo = np.asarray(lo, dtype=float)
-    return _score(lambda idx, x: f(x), np.zeros(lo.size, dtype=int), lo,
-                  np.asarray(hi, dtype=float))

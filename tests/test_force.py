@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,12 +167,13 @@ def test_real_axis_contour_matches_imag_axis_for_lossy_metal():
     assert res.path == "real-axis"
     assert res.converged
     assert res.pressure == pytest.approx(ref, rel=1e-3)
+    assert res.error >= abs(res.pressure - ref)
 
 
-@pytest.mark.parametrize("L", [10e-9, 15e-9, 20e-9])
+@pytest.mark.parametrize("L", [10e-9, 15e-9, 20e-9, 40e-9])
 def test_real_axis_error_covers_deviation_and_is_deterministic(L):
-    # every Q' node of one outer call shares one absolute floor, so the
-    # result cannot depend on the order in which nodes are visited
+    # every Q' node shares one absolute floor, fixed by the seed at Q'L = 1,
+    # so the result cannot depend on the order in which nodes are visited
     m = FresnelReflection(Drude(1e16, 1e14))
     ref = force_imag_axis(m, m, L, QuadratureConfig(rtol=1e-10)).pressure
     res = force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3))
@@ -180,22 +182,25 @@ def test_real_axis_error_covers_deviation_and_is_deterministic(L):
     assert force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3)) == res
 
 
-def test_real_axis_refinement_round_is_one_outer_call(monkeypatch):
-    # the coarse grid is one outer call, and so is each refinement round
-    # that bisects the six worst panels
-    from casimir import force
-    calls = []
-    panel_results = force.panel_results
-
-    def counted(f, lo, hi):
-        calls.append(len(lo))
-        return panel_results(f, lo, hi)
-
-    monkeypatch.setattr(force, "panel_results", counted)
+def test_real_axis_outer_integral_stops_at_its_target():
+    # the adaptive outer integral stops once its error meets the target,
+    # at about 0.26 M evaluations here
     m = FresnelReflection(Drude(1e16, 1e14))
+    ref = force_imag_axis(m, m, 40e-9, QuadratureConfig(rtol=1e-10)).pressure
     res = force_real_axis(m, m, 40e-9, QuadratureConfig(rtol=1e-3))
-    assert calls == [8, 12, 12, 12, 12]
-    assert res.converged and res.neval == 1149330
+    assert res.converged and res.neval < 400_000
+    assert res.error >= abs(res.pressure - ref)
+
+
+def test_real_axis_budget_stops_a_hopeless_contour():
+    # a perfect mirror facing a Drude metal never settles below its floor,
+    # so the evaluation budget has to stop it
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"spent \d+ integrand evaluations, "
+                                               r"over its budget of 3000000"):
+        force_real_axis(PerfectMirror(), FresnelReflection(Drude(1e16, 1e14)), 20e-9,
+                        QuadratureConfig(rtol=1e-3))
+    assert time.perf_counter() - start < 5.0
 
 
 def test_inner_integrals_ignore_the_callers_atol():
@@ -240,6 +245,15 @@ def test_gap_width_validation():
         force_imag_axis_many(m, m, [1e-7, 0.0], CFG)
     with pytest.raises(ValueError, match="1-D"):
         lifshitz_force_many(Constant(2.0), Constant(2.0), Vacuum(), [], CFG)
+    for L in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="gap width"):
+            ideal_casimir_pressure(L)
+        with pytest.raises(ValueError, match="gap width"):
+            force_imag_axis(m, m, L, CFG)
+        with pytest.raises(ValueError, match="gap width"):
+            lifshitz_force(Constant(2.0), Constant(2.0), Vacuum(), L, CFG)
+        with pytest.raises(ValueError, match="gap width"):
+            force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3))
 
 
 def test_imag_axis_results_are_deterministic():
