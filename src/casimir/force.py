@@ -34,10 +34,11 @@ from .quadrature import QuadratureConfig, integrate_many, integrate_semi_infinit
 from .reflection import ReflectionModel, WaveKinematics
 
 _PASSIVITY_SLACK = 1e-9
-# integrand evaluations a real-axis call may spend per allowed subdivision:
-# 3 M at the default 2000, where a Drude pair at rtol 1e-3 needs 0.14 M at
-# 10 nm and 1.7 M at 500 nm
-_REAL_AXIS_EVALS_PER_SUBDIVISION = 1500
+# real-axis budget: an outer round (the Q'L = 1 seed is a round of one node)
+# may average this many integrand evaluations per Q' node, and a call spend
+# this many in all; a Drude pair needs up to 40 k per node and 18 M in all
+_REAL_AXIS_EVALS_PER_NODE = 60_000
+_REAL_AXIS_EVALS = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,9 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     truncated octave by octave once the oscillatory tail stops
     contributing).  The outer Q' integral runs adaptively from a coarse
     grid, and the k-integrals of every Q' node of one outer round run in
-    lockstep.  A call that spends more than
-    ``_REAL_AXIS_EVALS_PER_SUBDIVISION * cfg.max_subdivisions`` integrand
-    evaluations raises :class:`ConvergenceError`.  Practical accuracy is
+    lockstep.  Past an evaluation budget (``_REAL_AXIS_EVALS_PER_NODE`` per
+    Q' node of an outer round, ``_REAL_AXIS_EVALS`` in all) it raises
+    :class:`ConvergenceError`.  Practical accuracy is
     limited; intended as the contour-equivalence validation for
     dissipative models.
     """
@@ -280,7 +281,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     seg_cfg = QuadratureConfig(rtol=max(target * 0.1, 1e-10), atol=0.0,
                                max_subdivisions=cfg.max_subdivisions)
     neval = 0
-    budget = _REAL_AXIS_EVALS_PER_SUBDIVISION * cfg.max_subdivisions
+    budget = _REAL_AXIS_EVALS_PER_NODE  # the seed's round of one node
 
     def count(size):
         nonlocal neval
@@ -288,8 +289,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         if neval > budget:
             raise ConvergenceError(
                 f"the real-frequency contour spent {neval} integrand evaluations, "
-                f"over its budget of {budget} ({_REAL_AXIS_EVALS_PER_SUBDIVISION} "
-                "per allowed subdivision; raise max_subdivisions for more)")
+                f"over its budget of {budget} ({_REAL_AXIS_EVALS_PER_NODE} per Q' "
+                f"node of an outer round, {_REAL_AXIS_EVALS} in all)")
 
     def round_trips(Qp, q, phase):
         kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
@@ -401,7 +402,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     def f(idx, us):
         # one floor for every node, fixed by the seed, so the outer tails
         # are not resolved to pointless relative precision
-        nonlocal inner_rel, converged
+        nonlocal inner_rel, converged, budget
+        budget = min(neval + _REAL_AXIS_EVALS_PER_NODE * us.size, _REAL_AXIS_EVALS)
         values, errors, ok, _ = inner_many(us, scale * target * 0.3)
         converged = converged and bool(ok.all())
         if scale > 0.0:

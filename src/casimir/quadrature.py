@@ -152,21 +152,19 @@ def integrate_many(f, lo, hi, cfg=None):
             or not np.all(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))):
         raise ValueError(f"need finite lo < hi, got {lo}, {hi}")
     n, m = lo.shape[0], lo.shape[1] if lo.ndim == 2 else 1
-    idx = np.arange(n) if m == 1 else np.repeat(np.arange(n), m)
-    vals, errs = _score(f, idx, lo.ravel(), hi.ravel())
+    vals, errs = _score(f, np.repeat(np.arange(n), m), lo.ravel(), hi.ravel())
+    # column sums in order of j add each row left to right, as Python's sum
+    total_val, total_err = vals[::m].copy(), errs[::m].copy()
+    for j in range(1, m):
+        total_val += vals[j::m]
+        total_err += errs[j::m]
     # heap entries: (-err, tiebreak, lo, hi, val, err)
-    if m == 1:
-        total_val, total_err = vals, errs
-        heaps = [[(-e, 0, a, b, v, e)] for a, b, v, e in zip(
-            lo.ravel().tolist(), hi.ravel().tolist(), vals.tolist(), errs.tolist())]
-    else:
-        vals, errs = vals.reshape(n, m).tolist(), errs.reshape(n, m).tolist()
-        total_val = np.array([sum(row) for row in vals])
-        total_err = np.array([sum(row) for row in errs])
-        heaps = [[(-e, j, a, b, v, e) for j, (a, b, v, e) in enumerate(zip(*row))]
-                 for row in zip(lo.tolist(), hi.tolist(), vals, errs)]
-        for heap in heaps:
-            heapq.heapify(heap)
+    entries = [(-e, j, a, b, v, e) for j, a, b, v, e in zip(
+        list(range(m)) * n, lo.ravel().tolist(), hi.ravel().tolist(), vals.tolist(),
+        errs.tolist())]
+    heaps = [entries[k:k + m] for k in range(0, n * m, m)]
+    for heap in heaps:
+        heapq.heapify(heap)
 
     values = np.empty(n)
     ok = np.ones(n, dtype=bool)
