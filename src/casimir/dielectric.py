@@ -214,20 +214,24 @@ def load_optical_table(path) -> OpticalTable:
 
 def _t_minus_arctan(t):
     """t - arctan(t) for t >= 0, by its series below t = 0.1, where the
-    difference would cancel."""
+    difference would cancel; the arctan pass runs only if some t >= 0.1."""
+    small = t < 0.1
     s = np.fmin(t, 0.1)
     s2 = s * s
-    acc = 0.0
-    for k in range(15, 1, -2):
-        acc = 1.0 / k - s2 * acc
-    return np.where(t < 0.1, s * s2 * acc, t - np.arctan(t))
+    acc = np.full_like(s2, 1.0 / 15)
+    for k in range(13, 1, -2):
+        acc *= s2
+        np.subtract(1.0 / k, acc, out=acc)
+    s *= s2
+    s *= acc
+    return s if small.all() else np.where(small, s, t - np.arctan(t))
 
 
 def _continue_table(table: OpticalTable, xi):
     """eps(i xi) of :func:`permittivity_from_table` at a 1-D array ``xi``.
 
-    One numpy pass over (xi, segment); the segment sum runs along the last
-    axis, so each xi gets the bits it gets alone.
+    One numpy pass over (xi, segment), in place; the segment sum runs along
+    the last axis, so each xi gets the bits it gets alone.
     """
     w = table.omega
     y = table.im_eps
@@ -241,9 +245,26 @@ def _continue_table(table: OpticalTable, xi):
     dw = w1 - w0
     ww = w0 * w1
     den = x2 + ww
-    j0 = 0.5 * np.log1p(dw * (w1 + w0) / (w0 * w0 + x2))
-    j1 = dw * ww / den + x * _t_minus_arctan(x * dw / den)
-    main = np.add.reduce((y[:-1] * (w1 * j0 - j1) + y[1:] * (j1 - w0 * j0)) / dw, axis=1)
+    # in place: j0 = 0.5 log1p(dw (w1 + w0) / (w0^2 + x2)), j1 = dw ww / den
+    # + x (t - arctan t) at t = x dw / den, and the segment terms
+    # (y0 (w1 j0 - j1) + y1 (j1 - w0 j0)) / dw
+    j0 = w0 * w0 + x2
+    np.log1p(np.divide(dw * (w1 + w0), j0, out=j0), out=j0)
+    j0 *= 0.5
+    t = x * dw
+    t = _t_minus_arctan(np.divide(t, den, out=t))
+    t *= x
+    j1 = np.divide(dw * ww, den, out=den)
+    j1 += t
+    terms = w1 * j0
+    terms -= j1
+    terms *= y[:-1]
+    j0 *= w0
+    j1 -= j0
+    j1 *= y[1:]
+    terms += j1
+    terms /= dw
+    main = np.add.reduce(terms, axis=1)
 
     # low tail: Im eps = A / (om (om^2 + B^2)), exact for Drude data; with
     # B^2 <= 0 it would not be integrable at 0, so fall back to Im eps

@@ -98,7 +98,7 @@ def _double_integral(inner_many, n, cfg):
     ``inner_many(j, us, inner_cfg) -> (values, errors, ok)`` computes the
     inner integral of outer integral ``j[i]`` at node ``us[i]``, for every
     node of one outer round of every outer integral at once.  Each outer
-    and inner integral keeps its own heap and estimates, so each row gets
+    and inner integral keeps its own panels and estimates, so each row gets
     the bits it gets alone.  Returns (values, errors, converged) arrays
     with inner errors folded into the estimates.
     """
@@ -271,9 +271,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     grid, and the k-integrals of every Q' node of one outer round run in
     lockstep.  Past an evaluation budget (``_REAL_AXIS_EVALS_PER_NODE`` per
     Q' node of an outer round, ``_REAL_AXIS_EVALS`` in all) it raises
-    :class:`ConvergenceError`.  Practical accuracy is
-    limited; intended as the contour-equivalence validation for
-    dissipative models.
+    :class:`ConvergenceError`.  Practical accuracy is limited; intended as
+    the contour-equivalence validation for dissipative models.
     """
     _gaps([L])
     cfg = cfg or QuadratureConfig()

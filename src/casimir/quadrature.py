@@ -1,12 +1,12 @@
 """Adaptive 1D quadrature with embedded-rule error estimates.
 
-A Gauss-Kronrod 7/15 pair drives an interval-bisection loop.  Semi-infinite
+A Gauss-Kronrod 7/15 pair drives an interval-bisection loop, run in
+lockstep over many integrals on one array store of panels.  Semi-infinite
 domains are mapped to (0, 1) by the rational substitution x = a + s u/(1-u).
 Integrands must be vectorized (``f(ndarray) -> ndarray``) and pure; for a
 fixed configuration the result is bit-reproducible.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +40,8 @@ _EPS = np.finfo(float).eps
 _PANEL_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 # tail-check sample points, in units of the semi-infinite map's scale
 _TAIL_X = np.array([1e1, 1e2, 1e3, 1e4])
+# an empty panel-store slot: never the worst panel, and adds nothing
+_HOLE = np.array([np.inf, np.inf, -0.0, -np.inf])
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,16 @@ def _panels(fx, half):
     return resk * half, np.maximum(err, 50.0 * _EPS * resabs * half)
 
 
-def _convergence_error(cfg, value, error):
-    return ConvergenceError(
-        f"quadrature did not converge in {cfg.max_subdivisions} "
-        f"subdivisions (estimate {value:.6g} +- {error:.3g})",
-        value=value, error=error)
+def _only(cfg, values, errors, ok):
+    """``(value, error)`` of a batch of one integral; a spent budget raises
+    :class:`ConvergenceError` with the best estimate attached."""
+    value, error = float(values[0]), float(errors[0])
+    if not ok[0]:
+        raise ConvergenceError(
+            f"quadrature did not converge in {cfg.max_subdivisions} "
+            f"subdivisions (estimate {value:.6g} +- {error:.3g})",
+            value=value, error=error)
+    return value, error
 
 
 def integrate(f, a, b, cfg=None):
@@ -94,16 +101,7 @@ def integrate(f, a, b, cfg=None):
     cfg = cfg or QuadratureConfig()
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    values, errors, ok = integrate_many(lambda idx, x: f(x), [a], [b], cfg)
-    value, error = float(values[0]), float(errors[0])
-    if not ok[0]:
-        raise _convergence_error(cfg, value, error)
-    return value, error
-
-
-def _ordered_sum(heap, idx):
-    """Deterministic left-to-right resummation of the interval list."""
-    return float(sum(entry[idx] for entry in sorted(heap, key=lambda t: t[2])))
+    return _only(cfg, *integrate_many(lambda idx, x: f(x), [a], [b], cfg))
 
 
 def _score(f, idx, lo, hi):
@@ -127,13 +125,19 @@ def integrate_many(f, lo, hi, cfg=None):
     """Integrate ``len(lo)`` integrands over [lo[i], hi[i]] in lockstep.
 
     ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``.  Every integral
-    keeps its own GK15 interval heap, stopping rule, subdivision budget and
-    error estimate, so each value and error equals what the integral gets
-    alone; only the calls to ``f`` are shared, one per bisection round
-    holding the 30 new nodes of every unconverged integral, and the one
-    :func:`_score` pass that scores the round's new panels.  Every value
+    keeps its own panels, stopping rule, subdivision budget and error
+    estimate, so each value and error equals what the integral gets alone,
+    bit for bit; only the calls to ``f`` are shared, one per bisection
+    round holding the 30 new nodes of every unconverged integral, and the
+    one :func:`_score` pass that scores the round's new panels.  Every value
     ``f`` returns is checked: a non-finite one raises
     :class:`DivergenceError`.
+
+    The panels of the live integrals sit in one array store, a row per
+    integral with its panels in order of creation.  A round bisects each
+    row's panel of largest error, the oldest of equal ones; the children
+    take two new slots and the parent stays behind as a hole.  A finished
+    integral leaves the store with its panel values summed left to right.
 
     ``lo`` and ``hi`` of shape (n, m) start integral ``i`` from the m
     panels [lo[i, j], hi[i, j]] instead of one; its starting value and
@@ -158,46 +162,43 @@ def integrate_many(f, lo, hi, cfg=None):
     for j in range(1, m):
         total_val += vals[j::m]
         total_err += errs[j::m]
-    # heap entries: (-err, tiebreak, lo, hi, val, err)
-    entries = [(-e, j, a, b, v, e) for j, a, b, v, e in zip(
-        list(range(m)) * n, lo.ravel().tolist(), hi.ravel().tolist(), vals.tolist(),
-        errs.tolist())]
-    heaps = [entries[k:k + m] for k in range(0, n * m, m)]
-    for heap in heaps:
-        heapq.heapify(heap)
-
-    values = np.empty(n)
-    ok = np.ones(n, dtype=bool)
+    # store[:, i, s] is (lo, hi, value, error) of slot s of live integral i
+    store = np.stack([lo.ravel(), hi.ravel(), vals, errs]).reshape(4, n, m)
+    values, errors, ok = np.empty(n), np.empty(n), np.ones(n, dtype=bool)
     active = np.arange(n)
     # every live integral is bisected once a round, so all active
-    # integrals have used the same number of subdivisions
+    # integrals have used the same number of subdivisions and slots
     n_sub = m
     while True:
-        done = ~(total_err > np.fmax(cfg.atol, cfg.rtol * np.abs(total_val)))[active]
+        done = ~(total_err > np.fmax(cfg.atol, cfg.rtol * np.abs(total_val)))
         if n_sub >= cfg.max_subdivisions:
             ok[active] = done
             done[:] = True
-        for i in active[done].tolist():
-            values[i] = _ordered_sum(heaps[i], 4)
-        active = active[~done]
-        if not active.size:
-            return values, total_err, ok
-        popped = np.array([heapq.heappop(heaps[i]) for i in active.tolist()])
-        # columns a, mid, b; row 2j of (a, mid) | (mid, b) is the left
-        # child of integral active[j], row 2j + 1 the right
-        ends = popped[:, [2, 2, 3]]
-        ends[:, 1] = 0.5 * (ends[:, 0] + ends[:, 2])
+        if done.any():
+            order = np.argsort(store[0, done], axis=1, kind="stable")
+            by_lo = np.take_along_axis(store[2, done], order, axis=1)
+            by_lo[:, 0] += 0.0  # Python's sum starts from +0.0
+            values[active[done]] = np.cumsum(by_lo, axis=1)[:, -1]
+            errors[active[done]] = total_err[done]
+            active, store = active[~done], store[:, ~done]
+            total_val, total_err = total_val[~done], total_err[~done]
+            if not active.size:
+                return values, errors, ok
+        used = 2 * n_sub - m
+        if used + 2 > store.shape[2]:  # more than double the slots
+            holes = np.broadcast_to(_HOLE[:, None, None], (4, active.size, used + 2))
+            store = np.concatenate([store, holes], axis=2)
+        worst = (slice(None), np.arange(active.size), np.argmax(store[3], axis=1))
+        a, b, v_old, e_old = store[worst]
+        store[worst] = _HOLE[:, None]
+        mid = 0.5 * (a + b)
+        ends = np.array([a, mid, b]).T
+        # row 2j of (a, mid) | (mid, b) is the left child of row j
         v, e = _score(f, np.repeat(active, 2), ends[:, :2].ravel(), ends[:, 1:].ravel())
-        v = v.reshape(-1, 2)
-        e = e.reshape(-1, 2)
-        total_val[active] += v[:, 0] + v[:, 1] - popped[:, 4]
-        total_err[active] += e[:, 0] + e[:, 1] - popped[:, 5]
-        # tiebreaks 0..m-1 number the starting panels; children follow on
-        seq = 2 * n_sub - m
-        for i, (lo_i, mid_i, hi_i), (v1, v2), (e1, e2) in zip(
-                active.tolist(), ends.tolist(), v.tolist(), e.tolist()):
-            heapq.heappush(heaps[i], (-e1, seq, lo_i, mid_i, v1, e1))
-            heapq.heappush(heaps[i], (-e2, seq + 1, mid_i, hi_i, v2, e2))
+        v, e = v.reshape(-1, 2), e.reshape(-1, 2)
+        total_val += v[:, 0] + v[:, 1] - v_old
+        total_err += e[:, 0] + e[:, 1] - e_old
+        store[:, :, used:used + 2] = np.array([ends[:, :2], ends[:, 1:], v, e])
         n_sub += 1
 
 
@@ -212,12 +213,7 @@ def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
     cfg = cfg or QuadratureConfig()
     if scale <= 0.0 or not np.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    values, errors, ok = integrate_semi_infinite_many(
-        lambda idx, x: f(x), a, [scale], cfg)
-    value, error = float(values[0]), float(errors[0])
-    if not ok[0]:
-        raise _convergence_error(cfg, value, error)
-    return value, error
+    return _only(cfg, *integrate_semi_infinite_many(lambda idx, x: f(x), a, [scale], cfg))
 
 
 def integrate_semi_infinite_many(f, a, scales, cfg=None):

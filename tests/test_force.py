@@ -384,7 +384,7 @@ def _fields(res):
 @pytest.mark.parametrize("case", ["mirror", "drude", "plasma", "constant", "film",
                                   "tabulated", "impedance", "budget", "some_budget"])
 def test_imag_axis_sweep_batch_is_bit_identical_to_one_gap_calls(case):
-    # every gap keeps its own outer and inner heaps, so batching the gaps
+    # every gap keeps its own outer and inner panels, so batching the gaps
     # of a sweep moves no bit of any gap's result
     metal = FresnelReflection(Drude(WP, GAMMA))
     film = MultilayerReflection(

@@ -347,6 +347,23 @@ def test_integrate_many_from_a_starting_partition_is_the_heap_loop():
         assert got.tolist() == want.tolist()
 
 
+def test_integrate_many_breaks_error_ties_as_the_heap_loop():
+    # on dyadic panels a constant integrand ties every panel of one width
+    # in error, and at rtol 1.01e-14 its error floor never meets the
+    # target, so its budget runs out in the middle of a width; beside it
+    # integrals meet atol after 1, 5 and 29 rounds, and a chirp runs out
+    cfg = QuadratureConfig(rtol=1.01e-14, atol=1e-10, max_subdivisions=60)
+    funcs = [lambda x: np.full_like(x, 1e6 * np.e), lambda x: np.exp(-x),
+             lambda x: np.cos(9.0 * x), lambda x: np.cos(25.0 * x), _FINITE_CASES[3][0]]
+    ends = [np.linspace(0.0, 1.0, 5)] + [np.linspace(0.0, 2.0 + i, 5) for i in range(4)]
+    lo, hi = np.array([e[:-1] for e in ends]), np.array([e[1:] for e in ends])
+    values, errors, ok = integrate_many(_batch(funcs), lo, hi, cfg)
+    assert ok.tolist() == [False, True, True, True, False]
+    for i, f in enumerate(funcs):
+        assert (values[i], errors[i], ok[i]) == _heap_loop(f, lo[i].tolist(),
+                                                           hi[i].tolist(), cfg)
+
+
 def test_integrate_keeps_its_argument_and_divergence_errors():
     for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, np.inf), (np.nan, 1.0)):
         with pytest.raises(ValueError, match="need finite a < b"):
