@@ -5,7 +5,8 @@ Usage::
     casimir run <config.yaml> [--out PATH] [--format csv|json] [--tol X]
     casimir dos <config.yaml> [--out PATH] [--format csv|json]
 
-Exit codes: 0 success, 2 config error, 3 convergence failure.
+Exit codes: 0 success, 2 config error, 3 convergence failure or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -222,7 +223,9 @@ def parse_config(path) -> RunConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = yaml.safe_load(path.read_text())
+        # libyaml where pyyaml has it; bytes, so that a file that is not
+        # UTF-8 raises a YAMLError too
+        doc = yaml.load(path.read_bytes(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     doc = _expect_mapping(doc, "<root>")
@@ -453,13 +456,13 @@ def main(argv=None) -> int:
             rows = run_sweep(cfg)
         else:
             rows = dos_table(cfg)
+        write_table(rows, fmt, out_path)
     except ConfigError as exc:
         print(f"casimir: config error: {exc}", file=sys.stderr)
         return 2
     except CasimirError as exc:
         print(f"casimir: {exc}", file=sys.stderr)
         return 3
-    write_table(rows, fmt, out_path)
     if any(str(row.get("status", "ok")) != "ok" for row in rows):
         print("casimir: one or more sweep points did not converge", file=sys.stderr)
         return 3

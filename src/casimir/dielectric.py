@@ -66,6 +66,9 @@ class Vacuum(DielectricModel):
         _check_frequency(freq, allow_zero=True)
         return np.ones_like(np.asarray(freq, dtype=complex))
 
+    def _eval_iw(self, xi):
+        return np.ones_like(xi)
+
 
 @dataclass(frozen=True)
 class Constant(DielectricModel):
@@ -149,7 +152,8 @@ class DrudeLorentz(DielectricModel):
 
 @dataclass(frozen=True)
 class OpticalTable:
-    """Tabulated Im eps (and optionally Re eps) on a strictly increasing grid."""
+    """Tabulated Im eps (and optionally Re eps), all finite, on a strictly
+    increasing grid."""
 
     omega: np.ndarray
     im_eps: np.ndarray
@@ -164,6 +168,10 @@ class OpticalTable:
             object.__setattr__(self, "re_eps", np.asarray(self.re_eps, dtype=float))
         if omega.ndim != 1 or omega.size < 2:
             raise OpticalTableError("optical table needs at least 2 grid points")
+        for name, column in (("frequencies", omega), ("Im eps", im_eps),
+                             ("Re eps", self.re_eps)):
+            if column is not None and not np.all(np.isfinite(column)):
+                raise OpticalTableError(f"{name} must be finite (no NaN or inf)")
         if not np.all(np.diff(omega) > 0.0):
             raise OpticalTableError("frequency grid must be strictly increasing")
         if np.any(omega <= 0.0):
@@ -227,17 +235,15 @@ def _t_minus_arctan(t):
     return s if small.all() else np.where(small, s, t - np.arctan(t))
 
 
-def _continue_table(table: OpticalTable, xi):
-    """eps(i xi) of :func:`permittivity_from_table` at a 1-D array ``xi``.
+# (xi, segment) elements per block of _continue_table: each temporary of a
+# block, 128 kB, stays in L2
+_BLOCK_ELEMENTS = 1 << 14
 
-    One numpy pass over (xi, segment), in place; the segment sum runs along
-    the last axis, so each xi gets the bits it gets alone.
-    """
-    w = table.omega
-    y = table.im_eps
-    if np.all(y == 0.0):
-        return np.ones(xi.shape)
-    x = xi[:, None]
+
+def _segment_sums(w, y, x):
+    """Sum over the table's segments of their share of eps(i xi) - 1 (before
+    the 2/pi), for a column ``x`` of xi; in place, summed along the last
+    axis, so each xi gets the bits it gets alone."""
     x2 = x * x
     # segment [w0, w1] with Im eps linear from y0 to y1: J0 and J1 are the
     # integrals of om/(om^2 + xi^2) and om^2/(om^2 + xi^2) over it
@@ -264,7 +270,24 @@ def _continue_table(table: OpticalTable, xi):
     j1 *= y[1:]
     terms += j1
     terms /= dw
-    main = np.add.reduce(terms, axis=1)
+    return np.add.reduce(terms, axis=1)
+
+
+def _continue_table(table: OpticalTable, xi):
+    """eps(i xi) of :func:`permittivity_from_table` at a 1-D array ``xi``.
+
+    Works through ``xi`` in blocks of rows, each one numpy pass over
+    (xi, segment) of about _BLOCK_ELEMENTS elements; each xi gets the bits
+    it gets alone.
+    """
+    w = table.omega
+    y = table.im_eps
+    if np.all(y == 0.0):
+        return np.ones(xi.shape)
+    rows = max(1, _BLOCK_ELEMENTS // (w.size - 1))
+    main = np.empty(xi.shape)
+    for i in range(0, xi.size, rows):
+        main[i:i + rows] = _segment_sums(w, y, xi[i:i + rows, None])
 
     # low tail: Im eps = A / (om (om^2 + B^2)), exact for Drude data; with
     # B^2 <= 0 it would not be integrable at 0, so fall back to Im eps
@@ -308,9 +331,10 @@ _CHEB_RTOL = 8e-15
 
 def _clenshaw(coef, x):
     """Chebyshev series with coefficient rows ``coef`` at ``x`` in [-1, 1]."""
+    x2 = 2.0 * x
     b1 = b2 = 0.0
     for j in range(_CHEB_N - 1, 0, -1):
-        b1, b2 = coef[:, j] + 2.0 * x * b1 - b2, b1
+        b1, b2 = coef[:, j] + x2 * b1 - b2, b1
     return coef[:, 0] + x * b1 - b2
 
 

@@ -291,3 +291,46 @@ dos: {L: 1.0e-6, points: 6, eta: 0.0}
     assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 3
     assert "resonance" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+def test_libyaml_reads_every_config_as_the_pure_python_loader():
+    import yaml
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert len(shipped) == 4
+    texts = [p.read_bytes() for p in shipped] + [MIRROR_CFG.encode(), DRUDE_CFG.encode()]
+    for text in texts:
+        assert yaml.load(text, Loader=loader) == yaml.load(text, Loader=yaml.SafeLoader)
+    # YAML 1.1 reads a float without a sign in its exponent as a string
+    # under both; _number converts it
+    doc = yaml.load(b"omega_p: 1.37e16\n", Loader=loader)
+    assert doc == {"omega_p": "1.37e16"}
+
+
+@pytest.mark.parametrize("text", [
+    b"slab1: {type: mirr\xe9}\nslab2: {type: mirror}\n",
+    b"slab1: {type: mirror\nslab2: [1, 2\n",
+], ids=["not-utf8", "malformed"])
+def test_unreadable_yaml_is_a_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "config is not valid YAML" in capsys.readouterr().err
+
+
+def test_unwritable_output_file_exits_3(tmp_path, capsys):
+    cfg = _write(tmp_path, MIRROR_CFG)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert f"cannot write output file {out}" in capsys.readouterr().err
+
+
+def test_non_finite_optical_table_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "t.dat").write_text("1e14 40.0\n1e15 nan\n1e16 0.2\n")
+    cfg = _write(tmp_path, """
+slab1: {type: fresnel, material: {model: tabulated, file: t.dat}}
+slab2: {type: mirror}
+sweep: {min: 1.0e-6, points: 1}
+""")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "Im eps must be finite" in capsys.readouterr().err

@@ -113,6 +113,19 @@ def test_optical_table_validation():
         OpticalTable(omega=np.array([1e15, 2e15]), im_eps=np.array([0.1]))
 
 
+@pytest.mark.parametrize("column, value", [
+    ("omega", np.inf), ("im_eps", np.nan), ("im_eps", np.inf), ("re_eps", np.nan),
+    ("re_eps", -np.inf),
+])
+def test_optical_table_rejects_non_finite_values(column, value):
+    # a NaN Im eps would pass the passivity check, as NaN < 0 is false
+    cols = {"omega": np.array([1e15, 2e15, 3e15]), "im_eps": np.array([0.3, 0.2, 0.1]),
+            "re_eps": np.array([-5.0, -2.0, -1.0])}
+    cols[column][-1] = value
+    with pytest.raises(OpticalTableError, match="must be finite"):
+        OpticalTable(**cols)
+
+
 def test_load_optical_table_diagnostics(tmp_path):
     good = tmp_path / "ok.dat"
     good.write_text("# comment\n1e15 0.5\n2e15 0.25  # inline\n")
@@ -182,11 +195,15 @@ def test_kk_continuation_of_insulator_data():
         assert got == pytest.approx(float(osc.eval_iw(xi)), rel=1e-2)
 
 
-@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA)], ids=["plasma", "drude"])
+@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA), Vacuum()],
+                         ids=["plasma", "drude", "vacuum"])
 def test_scalar_and_array_eval_iw_agree_bit_for_bit(model):
     xi = np.geomspace(1e12, 1e18, 20000)
     scalar = np.array([model.eval_iw(x) for x in xi.tolist()])
     assert np.array_equal(model.eval_iw(xi), scalar)
+    if isinstance(model, Vacuum):
+        # its own eps(i xi) keeps the bits of the generic complex route
+        assert model.eval_iw(xi).tobytes() == np.real(model.eval(1j * xi)).tobytes()
 
 
 def _kk_oracle(table, xi):
@@ -306,8 +323,7 @@ def _reference_continue_table(table, xi):
     return 1.0 + (2.0 / np.pi) * (low + main + high)
 
 
-def test_continue_table_is_the_plain_expression_bit_for_bit():
-    from casimir import dielectric
+def _gold_insulator_coarse():
     gold = load_optical_table(Path(__file__).resolve().parents[1] / "data" / "gold_drude.dat")
     osc = DrudeLorentz(1.0, ((2.0, 3e15, 3e14),))
     w = np.linspace(1e15, 6e15, 200)
@@ -316,11 +332,64 @@ def test_continue_table_is_the_plain_expression_bit_for_bit():
     # pass 0.1, so the main term takes the arctan branch too
     coarse_w = np.geomspace(1e14, 1e17, 5)
     coarse = OpticalTable(omega=coarse_w, im_eps=Drude(WP, GAMMA).eval(coarse_w).imag)
+    return gold, insulator, coarse
+
+
+def test_continue_table_is_the_plain_expression_bit_for_bit():
+    from casimir import dielectric
+    gold, insulator, coarse = _gold_insulator_coarse()
     xi = np.exp(np.random.default_rng(5).uniform(np.log(1e6), np.log(1e24), 20000))
-    t = xi[:, None] * np.diff(coarse_w) / (xi[:, None] ** 2 + coarse_w[:-1] * coarse_w[1:])
+    cw = coarse.omega
+    t = xi[:, None] * np.diff(cw) / (xi[:, None] ** 2 + cw[:-1] * cw[1:])
     assert t.max() > 0.1
     for table in (gold, insulator, coarse):
         # in chunks, to keep the (xi, segment) arrays small
         for part in np.split(xi, 10):
             got = dielectric._continue_table(table, part)
             assert got.tobytes() == _reference_continue_table(table, part).tobytes()
+
+
+def _reference_clenshaw(coef, x):
+    b1 = b2 = 0.0
+    for j in range(coef.shape[1] - 1, 0, -1):
+        b1, b2 = coef[:, j] + 2.0 * x * b1 - b2, b1
+    return coef[:, 0] + x * b1 - b2
+
+
+def test_clenshaw_is_the_plain_recurrence_bit_for_bit():
+    from casimir import dielectric
+    coef = _gold_insulator_coarse()[0]._chebyshev
+    rng = np.random.default_rng(3)
+    k = rng.integers(0, coef.shape[0], 20000)
+    x = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, k.size - 3)])
+    got = dielectric._clenshaw(coef[k], x)
+    assert got.tobytes() == _reference_clenshaw(coef[k], x).tobytes()
+
+
+def test_blocked_interpolant_build_is_the_single_pass_build_bit_for_bit(monkeypatch):
+    # _continue_table works through xi in row blocks (17 for gold, 15 for
+    # the insulator, 1 for the coarse table); the interpolant built from it
+    # equals one built from a single (xi, segment) pass, and passes or
+    # fails its check alike
+    from casimir import dielectric
+    mid, half = dielectric._CHEB_MID[:, None], dielectric._CHEB_HALF[:, None]
+    n = dielectric._CHEB_N
+    theta = (np.arange(n) + 0.5) * (np.pi / n)
+    cos = np.cos(np.arange(n)[:, None] * theta)
+    x = np.array([-1.0, 0.0, 1.0])
+    tables = _gold_insulator_coarse()
+    passed = []
+    for table in tables:
+        f = _reference_continue_table(table, (mid + half * np.cos(theta)).ravel())
+        coef = (2.0 / n) * np.add.reduce(f.reshape(-1, 1, n) * cos, axis=2)
+        coef[:, 0] *= 0.5
+        got = _reference_clenshaw(np.repeat(coef, x.size, axis=0), np.tile(x, mid.size))
+        want = _reference_continue_table(table, (mid + half * x).ravel())
+        ok = not np.any(np.abs(got - want) > dielectric._CHEB_RTOL * np.abs(want))
+        blocked = dielectric._chebyshev_of_table(table)
+        assert (blocked is not None) == ok
+        passed.append(ok)
+        monkeypatch.setattr(dielectric, "_CHEB_RTOL", np.inf)
+        assert dielectric._chebyshev_of_table(table).tobytes() == coef.tobytes()
+        monkeypatch.undo()
+    assert passed == [True, True, False]
