@@ -32,7 +32,7 @@ from .dielectric import (
     load_optical_table,
 )
 from .errors import CasimirError, ConfigError, OpticalTableError
-from .force import force_imag_axis_many, force_real_axis, lifshitz_force_many
+from .force import _gaps, force_imag_axis_many, force_real_axis, lifshitz_force_many
 from .quadrature import QuadratureConfig
 from .reflection import (
     MIRROR,
@@ -234,6 +234,14 @@ def parse_config(path) -> RunConfig:
                 required=("slab1", "slab2"))
     base_dir = path.parent
 
+    def gap_width(context, key, value):
+        """``value`` checked against the force paths' own gap-width rule."""
+        try:
+            _gaps([value])
+        except ValueError as exc:
+            raise ConfigError(f"key '{context}.{key}': {exc}") from exc
+        return value
+
     slab1 = _parse_slab(doc["slab1"], "slab1", base_dir)
     # identical slabs share one model, so the force paths can see r2 is r1
     same = doc["slab2"] == doc["slab1"]
@@ -241,8 +249,8 @@ def parse_config(path) -> RunConfig:
 
     sweep = _expect_mapping(doc.get("sweep", {}), "sweep")
     _check_keys(sweep, "sweep", {"min", "max", "points", "spacing"})
-    s_min = _number(sweep, "sweep", "min", default=1e-6, minimum=0.0)
-    s_max = _number(sweep, "sweep", "max", default=s_min, minimum=0.0)
+    s_min = gap_width("sweep", "min", _number(sweep, "sweep", "min", default=1e-6, minimum=0.0))
+    s_max = gap_width("sweep", "max", _number(sweep, "sweep", "max", default=s_min, minimum=0.0))
     points = sweep.get("points", 1)
     if isinstance(points, bool) or not isinstance(points, int) or points < 1:
         raise ConfigError(f"key 'sweep.points' must be an integer >= 1, got {points!r}")
@@ -286,7 +294,7 @@ def parse_config(path) -> RunConfig:
     if "dos" in doc:
         d = _expect_mapping(doc["dos"], "dos")
         _check_keys(d, "dos", {"L", "Q", "k_max", "points", "eta"}, required=("L",))
-        L = _number(d, "dos", "L", minimum=0.0)
+        L = gap_width("dos", "L", _number(d, "dos", "L", minimum=0.0))
         pts = d.get("points", 500)
         if isinstance(pts, bool) or not isinstance(pts, int) or pts < 2:
             raise ConfigError(f"key 'dos.points' must be an integer >= 2, got {pts!r}")

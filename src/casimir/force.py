@@ -55,11 +55,20 @@ class ForceResult:
 
 def _gaps(Ls):
     """The gap widths ``Ls`` as a 1-D float array, each checked positive
-    and finite."""
+    and finite, with L^4 and the ideal-mirror pressure normal floats (about
+    1.2e-77 m <= L <= 1.55e70 m), so that the L^-4 prefactors and the
+    reduction factor stay finite and nonzero."""
     Ls = np.asarray(Ls, dtype=float)
-    if Ls.ndim != 1 or not Ls.size or not np.all((Ls > 0.0) & (Ls < np.inf)):
-        raise ValueError("gap widths must be positive and finite, in a non-empty "
-                         f"1-D sequence; got {Ls}")
+    with np.errstate(all="ignore"):
+        L4 = Ls ** 4
+        ideal = math.pi ** 2 * HBAR * C_LIGHT / (240.0 * L4)
+    # NaN fails every comparison; ideal >= tiny also keeps L^4 finite, and
+    # a normal L^4 keeps the ideal pressure finite
+    tiny = np.finfo(float).tiny
+    if Ls.ndim != 1 or not Ls.size or not np.all((Ls > 0.0) & (L4 >= tiny) & (ideal >= tiny)):
+        raise ValueError("gap widths must be positive and finite, with L^4 and the "
+                         "ideal-mirror pressure normal floats (about 1.2e-77 m to "
+                         f"1.55e70 m), in a non-empty 1-D sequence; got {Ls}")
     return Ls
 
 
@@ -244,21 +253,6 @@ def lifshitz_force(eps1: DielectricModel, eps2: DielectricModel,
     return lifshitz_force_many(eps1, eps2, eps3, [L], cfg)[0]
 
 
-def _round_trips(r1, r2, kin, phase):
-    """Polarization-summed g/(1-g) with g = r1 r2 * phase at shared kinematics."""
-    rs1, rp1 = r1.pair(kin)
-    rs2, rp2 = (rs1, rp1) if r2 is r1 else r2.pair(kin)
-    out = 0.0
-    for g in (rs1 * rs2 * phase, rp1 * rp2 * phase):
-        den = 1.0 - g
-        if np.any(np.abs(den) < 1e-12):
-            raise ResonanceError(
-                "resonance pole on the real-frequency contour; add dissipation "
-                "or use the imaginary-axis path")
-        out = out + g / den
-    return out
-
-
 def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
                     cfg: QuadratureConfig | None = None) -> ForceResult:
     """Pressure from the literal real-frequency contour.
@@ -282,18 +276,33 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     neval = 0
     budget = _REAL_AXIS_EVALS_PER_NODE  # the seed's round of one node
 
-    def count(size):
+    def products(Qp, q):
+        """(r1 r2)_s and (r1 r2)_p at Q = Q'/L and frequency c q/L."""
+        kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
+        rs1, rp1 = r1.pair(kin)
+        rs2, rp2 = (rs1, rp1) if r2 is r1 else r2.pair(kin)
+        return rs1 * rs2, rp1 * rp2
+
+    def round_trips(Qp, q, phase):
+        """Polarization-summed g/(1-g) with g = r1 r2 * phase, counted
+        against the budget."""
         nonlocal neval
-        neval += size
+        out = 0.0
+        for prod in products(Qp, q):
+            g = prod * phase
+            den = 1.0 - g
+            if np.any(np.abs(den) < 1e-12):
+                raise ResonanceError(
+                    "resonance pole on the real-frequency contour; add dissipation "
+                    "or use the imaginary-axis path")
+            out = out + g / den
+        neval += phase.size
         if neval > budget:
             raise ConvergenceError(
                 f"the real-frequency contour spent {neval} integrand evaluations, "
                 f"over its budget of {budget} ({_REAL_AXIS_EVALS_PER_NODE} per Q' "
                 f"node of an outer round, {_REAL_AXIS_EVALS} in all)")
-
-    def round_trips(Qp, q, phase):
-        kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
-        return _round_trips(r1, r2, kin, phase)
+        return out
 
     def envelope(Qp, k):
         """Bound on |integral| of each oscillatory chunk [k, 2k], from the
@@ -302,10 +311,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         kp = np.stack((k, np.sqrt(k * (2.0 * k)), 2.0 * k), axis=1).ravel()
         Qp = np.repeat(Qp, 3)
         q = np.sqrt(Qp * Qp + kp * kp)
-        kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
-        rs1, rp1 = r1.pair(kin)
-        rs2, rp2 = (rs1, rp1) if r2 is r1 else r2.pair(kin)
-        rho = (np.abs(rs1 * rs2) + np.abs(rp1 * rp2)).reshape(-1, 3)
+        prod_s, prod_p = products(Qp, q)
+        rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(-1, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.max((kp * kp / q).reshape(-1, 3) * rho / (1.0 - rho), axis=1)
         return np.where(np.any(rho > 0.5, axis=1), np.inf, bound)
@@ -317,24 +324,22 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         every segment therefore runs on the absolute tolerance ``floor``,
         never on a tolerance relative to its own (possibly huge) value.  A
         zero floor is bootstrapped from a rough pass.  Returns (values,
-        errors, ok, partial_sums) with one entry per node: ``ok[i]`` is
-        False where the evanescent segment ran out of budget or the
-        oscillatory tail did not settle, and ``partial_sums[i]`` lists the
-        node's octave contributions.
+        errors, ok, octaves): the first three with one entry per node,
+        ``ok[i]`` False where the evanescent segment ran out of budget or
+        the oscillatory tail did not settle; ``octaves`` one array per
+        integrated octave, holding the contributions of the nodes live in it.
         """
         def evanescent(idx, phi):
             # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
             Qp = us[idx]
             s = Qp * np.sin(phi)  # e^{2 i k L} = e^{-2 s} with k = i s/L
             b = round_trips(Qp, Qp * np.cos(phi), np.exp(-2.0 * s))
-            count(phi.size)
             return -s * s * b.imag
 
         def propagating(idx, kp):
             Qp = us[idx]
             q = np.sqrt(Qp * Qp + kp * kp)
             b = round_trips(Qp, q, np.exp(2j * kp))
-            count(kp.size)
             return (kp * kp / q) * b.real
 
         n = us.size
@@ -354,7 +359,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         oc_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
         tail = np.zeros(n)
         prev_bound = np.full(n, np.inf)
-        chunks = [[] for _ in range(n)]
+        octaves = []
         live = np.arange(n)
         for octave in range(24):
             bound = envelope(us[live], k[live])
@@ -362,8 +367,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             settled = bound < floor
             # non-decaying round trip (e.g. constant r): the oscillatory
             # tail is at best Abel-summable, never absolutely convergent
-            stalled = (~settled & (octave >= 3) & (bound > floor)
-                       & ~(bound < prev_bound[live]))
+            stalled = (octave >= 3) & (bound > floor) & ~(bound < prev_bound[live])
             tail[live[settled]] = 1.5 * bound[settled]
             tail[live[stalled]] = bound[stalled]
             ok[live[stalled]] = False
@@ -375,25 +379,24 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
                                      k[live], 2.0 * k[live], oc_cfg)
             total[live] += v
             err[live] += e
-            for i, x in zip(live.tolist(), v.tolist()):
-                chunks[i].append(x)
+            octaves.append(v)
             k[live] *= 2.0
         else:
             # still oscillating after 24 octaves: the last one bounds the rest
             tail[live] = np.abs(v)
             ok[live] = False
-        return total + ev, err + ev_err + tail, ok, chunks
+        return total + ev, err + ev_err + tail, ok, octaves
 
     # seed the magnitude of the inner integrals near the peak so every
     # later one gets a meaningful absolute floor; a failure here means the
     # whole contour is hopeless, so it propagates to the caller
-    v0, e0, ok0, chunks0 = inner_many(np.array([1.0]), 0.0)
+    v0, e0, ok0, octaves0 = inner_many(np.array([1.0]), 0.0)
     if not ok0[0]:
         raise ConvergenceError(
             "the real-frequency contour does not converge for this model: at "
             "Q'L = 1 the evanescent segment ran out of budget or the "
             "propagating tail did not settle",
-            value=v0[0], error=e0[0], partial_sums=chunks0[0])
+            value=v0[0], error=e0[0], partial_sums=[float(v[0]) for v in octaves0])
     scale = abs(float(v0[0]))
     inner_rel = 0.0
     converged = True

@@ -23,11 +23,11 @@ def branch_sqrt(z):
     """Complex sqrt with Im >= 0, and Re >= 0 on the real branch line.
 
     This is the outgoing-wave branch: e^{ikz} propagates or decays as z
-    increases.
+    increases.  numpy's principal root already has Re >= 0, so flipping
+    the roots with Im < 0 leaves Re >= 0 wherever Im = 0.
     """
     w = np.sqrt(np.asarray(z, dtype=complex))
-    w = np.where(w.imag < 0.0, -w, w)
-    return np.where((w.imag == 0.0) & (w.real < 0.0), -w, w)
+    return np.where(w.imag < 0.0, -w, w)
 
 
 @dataclass(frozen=True)
@@ -135,31 +135,31 @@ class LayerStack:
             raise TypeError("substrate must be a DielectricModel or 'mirror'")
 
 
-def _characteristic_impedance(eps, pol, kin):
-    k_a = medium_normal_wavevector(eps, kin)
-    if pol == "s":
-        return kin.q / k_a, k_a
-    return k_a / (eps * kin.q), k_a
-
-
 def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
     """Stack (r_s, r_p) via surface-impedance recursion from the substrate
     out, from the substrate's and the layers' permittivities (``eps_sub``
     None for a mirror substrate).
 
     Impedances stay bounded where transfer-matrix entries would overflow
-    for thick absorbing layers.
+    for thick absorbing layers.  Each medium's normal wavevector k_a and
+    each layer's round-trip phase serve both polarizations.
     """
+    sub = None if eps_sub is None else (eps_sub, medium_normal_wavevector(eps_sub, kin))
+    layers = []
+    for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
+        k_a = medium_normal_wavevector(eps, kin)
+        layers.append((eps, k_a, np.exp(2j * k_a * d)))
+
+    def impedance(pol, eps, k_a):
+        """Characteristic impedance of a medium: q/k_a for s, k_a/(eps q) for p."""
+        return kin.q / k_a if pol == "s" else k_a / (eps * kin.q)
+
     pair = []
     for pol in ("s", "p"):
-        if eps_sub is None:
-            Z = np.zeros_like(kin.q)
-        else:
-            Z, _ = _characteristic_impedance(eps_sub, pol, kin)
-        for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
-            Zc, k_a = _characteristic_impedance(eps, pol, kin)
+        Z = np.zeros_like(kin.q) if sub is None else impedance(pol, *sub)
+        for eps, k_a, phase in layers:
+            Zc = impedance(pol, eps, k_a)
             r_inner = impedance_to_reflection(Z, Zc)
-            phase = np.exp(2j * k_a * d)
             den = 1.0 - r_inner * phase
             if np.any(np.abs(den) <= 1e-14):
                 raise ResonanceError("stack resonance (impedance recursion pole)")

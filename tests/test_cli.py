@@ -189,6 +189,22 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, command, section,
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("run", "sweep: {min: 1.0e+78, points: 1}", "sweep.min"),
+    ("run", "sweep: {min: 1.0e-85, points: 1}", "sweep.min"),
+    ("run", "sweep: {min: 1.0e-7, max: 1.0e+78, points: 2}", "sweep.max"),
+    ("dos", "dos: {L: 1.0e-300}", "dos.L"),
+], ids=["run-huge", "run-tiny", "run-huge-max", "dos-tiny"])
+def test_gap_width_the_prefactors_cannot_hold_is_a_config_error(tmp_path, capsys, command,
+                                                                section, key):
+    # the force paths' own range: L^4 and the ideal pressure normal floats
+    text = "slab1: {type: mirror}\nslab2: {type: mirror}\n" + section + "\n"
+    cfg = _write(tmp_path, text)
+    assert main([command, str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_cli_exit_code_on_nonconverged(tmp_path, capsys):
     # constant reflection on the real-axis path cannot converge
     cfg = _write(tmp_path, """

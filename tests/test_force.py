@@ -33,6 +33,7 @@ from casimir import (
     reduction_factor,
 )
 from casimir import dielectric, kernels, quadrature
+from casimir import force as force_module
 from casimir.constants import C_LIGHT, HBAR
 from casimir.reflection import medium_normal_wavevector
 
@@ -170,6 +171,11 @@ def test_real_axis_contour_matches_imag_axis_for_lossy_metal():
     assert res.error >= abs(res.pressure - ref)
 
 
+# the evaluations each gap costs today (the baseline figures); a change
+# that moves them changes the real-axis output bytes
+REAL_AXIS_NEVAL = {10e-9: 136_170, 15e-9: 148_905, 20e-9: 145_755, 40e-9: 259_905}
+
+
 @pytest.mark.parametrize("L", [10e-9, 15e-9, 20e-9, 40e-9])
 def test_real_axis_error_covers_deviation_and_is_deterministic(L):
     # every Q' node shares one absolute floor, fixed by the seed at Q'L = 1,
@@ -177,7 +183,7 @@ def test_real_axis_error_covers_deviation_and_is_deterministic(L):
     m = FresnelReflection(Drude(1e16, 1e14))
     ref = force_imag_axis(m, m, L, QuadratureConfig(rtol=1e-10)).pressure
     res = force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3))
-    assert res.converged
+    assert res.converged and res.neval == REAL_AXIS_NEVAL[L]
     assert res.error >= abs(res.pressure - ref)
     assert force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3)) == res
 
@@ -221,14 +227,26 @@ def test_inner_integrals_ignore_the_callers_atol():
     assert want.error < 1e-6 * abs(want.pressure)
 
 
-def test_real_axis_rejects_nondecaying_round_trip():
+def test_real_axis_rejects_nondecaying_round_trip(monkeypatch):
     # constant reflection never decays along the real axis: only Abel
-    # summable, so the literal contour must refuse with partial sums
+    # summable, so the literal contour must refuse with partial sums, one
+    # plain float per octave it integrated (the integrals from k > 0)
+    octaves = []
+
+    def spy(f, lo, hi, cfg=None):
+        out = quadrature.integrate_many(f, lo, hi, cfg)
+        if np.all(np.asarray(lo) > 0.0):
+            octaves.append(out[0])
+        return out
+
+    monkeypatch.setattr(force_module, "integrate_many", spy)
     m = ConstantReflection(r_s=0.5, r_p=0.5)
     with pytest.raises(ConvergenceError) as exc_info:
         force_real_axis(m, m, 1e-6, QuadratureConfig(rtol=1e-3))
     err = exc_info.value
     assert len(err.partial_sums) >= 3
+    assert all(type(x) is float for x in err.partial_sums)
+    assert err.partial_sums == [v[0] for v in octaves]
     assert np.isfinite(err.value)
 
 
@@ -263,6 +281,29 @@ def test_gap_width_validation():
             lifshitz_force(Constant(2.0), Constant(2.0), Vacuum(), L, CFG)
         with pytest.raises(ValueError, match="gap width"):
             force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3))
+
+
+def test_gap_widths_the_prefactors_cannot_hold_are_rejected():
+    # L^4 and the ideal pressure must be normal floats: L^4 is subnormal
+    # below about 1.2e-77 m, the ideal pressure above about 1.55e70 m, and
+    # at 3e74 m the latter underflows to -0.0, which the reduction factor
+    # would divide by; the check itself raises no numpy warning
+    m = PerfectMirror()
+    for L in (1e78, 3e74, 1.56e70, 1.2e-77, 1e-85, 1e-300):
+        with pytest.raises(ValueError, match="gap width"):
+            ideal_casimir_pressure(L)
+        with pytest.raises(ValueError, match="gap width"):
+            force_imag_axis(m, m, L, CFG)
+        with pytest.raises(ValueError, match="gap width"):
+            lifshitz_force(Constant(2.0), Constant(2.0), Vacuum(), L, CFG)
+        with pytest.raises(ValueError, match="gap width"):
+            force_real_axis(m, m, L, QuadratureConfig(rtol=1e-3))
+    with pytest.raises(ValueError, match="gap width"):
+        force_imag_axis_many(m, m, [1e-7, 1e78], CFG)
+    # the widest and narrowest gaps still give a normal ideal pressure
+    for L in (1.55e70, 1.23e-77):
+        p = ideal_casimir_pressure(L)
+        assert np.finfo(float).tiny <= -p <= np.finfo(float).max
 
 
 def test_imag_axis_results_are_deterministic():

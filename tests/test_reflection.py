@@ -24,10 +24,18 @@ from casimir import (
 )
 from casimir import kernels
 from casimir.constants import C_LIGHT
-from casimir.reflection import branch_sqrt, medium_normal_wavevector
+from casimir.reflection import _stack_reflection, branch_sqrt, medium_normal_wavevector
 
 WP = 1.37e16
 GAMMA = 5.3e13
+
+
+def _two_pass_branch_sqrt(z):
+    """The outgoing branch in two passes: flip the roots with Im < 0, then
+    those with Im = 0 and Re < 0."""
+    w = np.sqrt(np.asarray(z, dtype=complex))
+    w = np.where(w.imag < 0.0, -w, w)
+    return np.where((w.imag == 0.0) & (w.real < 0.0), -w, w)
 
 
 def test_branch_sqrt_outgoing_convention():
@@ -41,6 +49,14 @@ def test_branch_sqrt_outgoing_convention():
     assert neg[0] == pytest.approx(2j)
     pos = branch_sqrt(np.array([9.0]))
     assert pos[0] == pytest.approx(3.0)
+    # numpy's principal root has Re >= 0, so the one flip pass gives the
+    # two-pass bits, signed zeros, subnormals, infinities and NaN included
+    parts = [0.0, -0.0, 5e-324, -3e-310, 1.0, -1.0, 2.5, -1e308, 1e308,
+             np.inf, -np.inf, np.nan]
+    edge = np.array([complex(a, b) for a in parts for b in parts])
+    for values in (z, edge, np.array(parts), -rng.exponential(size=50)):
+        got, want = branch_sqrt(values), _two_pass_branch_sqrt(values)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_kinematics_dispersion_identity():
@@ -177,7 +193,6 @@ def test_imag_axis_builds_a_shared_tables_interpolant_once(monkeypatch):
 def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
     # each medium is evaluated in one array call on every point; the
     # amplitudes equal those built from one scalar eval per point and medium
-    from casimir.reflection import _stack_reflection
     rng = np.random.default_rng(5)
     layers = ((2e-8, Drude(WP, GAMMA)), (5e-9, DrudeLorentz(1.5, ((2.0, 3e15, 1e14),))),
               (1e-8, Plasma(WP)))
@@ -195,6 +210,49 @@ def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
                              WaveKinematics.create(Q, 1j * xi[idx]))
     for g, w in zip(got, want):
         assert g.tolist() == w.real.tolist()
+
+
+def _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin):
+    """The stack recursion with each medium's k_a and each layer's phase
+    recomputed for each polarization."""
+    def characteristic_impedance(eps, pol):
+        k_a = medium_normal_wavevector(eps, kin)
+        if pol == "s":
+            return kin.q / k_a, k_a
+        return k_a / (eps * kin.q), k_a
+
+    pair = []
+    for pol in ("s", "p"):
+        Z = np.zeros_like(kin.q) if eps_sub is None else characteristic_impedance(eps_sub, pol)[0]
+        for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
+            Zc, k_a = characteristic_impedance(eps, pol)
+            r_inner = impedance_to_reflection(Z, Zc)
+            phase = np.exp(2j * k_a * d)
+            Z = Zc * (1.0 + r_inner * phase) / (1.0 - r_inner * phase)
+        pair.append(impedance_to_reflection(Z, vacuum_impedance(pol, kin)))
+    return tuple(pair)
+
+
+@pytest.mark.parametrize("axis", ["real", "imaginary"])
+@pytest.mark.parametrize("substrate", [Drude(WP, GAMMA), "mirror"], ids=["drude", "mirror"])
+@pytest.mark.parametrize("n_layers", [0, 1, 2, 3])
+def test_stack_recursion_shares_wavevectors_bit_for_bit(axis, substrate, n_layers):
+    # one k_a per medium and one phase per layer for both polarizations
+    # must give the bits of the per-polarization recursion
+    layers = ((2.3e-8, Drude(WP, GAMMA)), (7e-9, DrudeLorentz(1.5, ((2.0, 3e15, 1e14),))),
+              (1.1e-8, Constant(2.25)))[:n_layers]
+    stack = LayerStack(layers=layers, substrate=substrate)
+    rng = np.random.default_rng(15 + n_layers)
+    w = np.geomspace(1e12, 1e17, 400)
+    # propagating and evanescent on the real axis: Q from 0 to 3 w/c
+    Q = rng.uniform(0.0, 3.0, w.size) * w / C_LIGHT
+    kin = WaveKinematics.create(Q, w if axis == "real" else 1j * w)
+    eps_sub = None if substrate == "mirror" else substrate.eval(kin.freq)
+    eps_layers = [m.eval(kin.freq) for _, m in layers]
+    got = _stack_reflection(stack, eps_sub, eps_layers, kin)
+    want = _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin)
+    for g, x in zip(got, want):
+        assert np.array_equal(g.view(np.uint64), x.view(np.uint64))
 
 
 def test_fresnel_imag_axis_matches_per_node_scalar_eps_bit_for_bit():
