@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -308,6 +309,12 @@ def parse_config(path) -> RunConfig:
         for key in ("Q", "eta"):
             if dos_params[key] is not None and not dos_params[key] >= 0.0:
                 raise ConfigError(f"key 'dos.{key}' must be >= 0, got {dos_params[key]}")
+        # the kinematics square the largest sample's wavenumber hypot(Q, k_max)
+        q = math.hypot(dos_params["Q"], dos_params["k_max"])
+        if not math.isfinite(q * q):
+            key = "k_max" if dos_params["k_max"] >= dos_params["Q"] else "Q"
+            raise ConfigError(f"key 'dos.{key}': the wavenumber hypot(Q, k_max) = {q:g} 1/m "
+                              "must have a finite square (below about 1.3e154)")
 
     return RunConfig(slab1=slab1, slab2=slab2, sweep_min=s_min, sweep_max=s_max,
                      sweep_points=points, sweep_spacing=spacing, paths=paths,

@@ -39,6 +39,17 @@ _PASSIVITY_SLACK = 1e-9
 # this many in all; a Drude pair needs up to 40 k per node and 18 M in all
 _REAL_AXIS_EVALS_PER_NODE = 60_000
 _REAL_AXIS_EVALS = 30_000_000
+# starting partitions of the nested imaginary-axis and Lifshitz integrals,
+# as panel edges in u; each panel counts as one subdivision.  The outer
+# integrals, in x = u/(1-u) (w on the imaginary axis, p - 1 on the Lifshitz
+# path), split at x = 2/3 and 7/3, so that w's rise, its peak near w = 1.5
+# and its tail start on panels of their own.  The inner t-integrals are
+# graded toward t = 0, where the amplitudes turn over fastest.  The inner
+# xi-integrals, in xi/scale = u/(1-u), split at 3/7, 1.5 (the peak of
+# xi^3 e^{-2 xi/scale}) and 4
+_OUTER_EDGES = np.array([0.0, 0.4, 0.7, 1.0])
+_T_EDGES = np.array([0.0, 0.01, 0.05, 0.2, 1.0])
+_XI_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 1.0])
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,13 @@ def _double_integral(inner_many, n, cfg):
     and inner integral keeps its own panels and estimates, so each row gets
     the bits it gets alone.  Returns (values, errors, converged) arrays
     with inner errors folded into the estimates.
+
+    Each outer integral starts from the panels of ``_OUTER_EDGES`` in u, and
+    ``inner_many`` starts its integrals from ``_T_EDGES`` or ``_XI_EDGES``,
+    so that a chance Kronrod-Gauss agreement on one wide panel cannot stop
+    an integral early with an error estimate that reads too small, and the
+    known structure costs no bisections; starting panels count against
+    ``cfg.max_subdivisions``.
     """
     # inner integrals run on relative tolerance alone: an absolute floor in
     # the untransformed variable would be amplified by the transform
@@ -127,7 +145,7 @@ def _double_integral(inner_many, n, cfg):
         return values
 
     # a spent outer budget keeps its partial sum and marks its row
-    values, errors, ok = integrate_semi_infinite_many(f, 0.0, np.ones(n), cfg)
+    values, errors, ok = integrate_semi_infinite_many(f, 0.0, np.ones(n), cfg, _OUTER_EDGES)
     return values, errors + inner_rel * np.abs(values), converged & ok
 
 
@@ -170,7 +188,8 @@ def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
             neval[:] += np.bincount(j[idx], minlength=n)
             return kernels.force_integrand_wt(w, prod_s, prod_p)
 
-        values, errors, ok = integrate_many(g, np.zeros(ws.size), np.ones(ws.size), cfg_t)
+        values, errors, ok = integrate_many(g, np.tile(_T_EDGES[:-1], (ws.size, 1)),
+                                            np.tile(_T_EDGES[1:], (ws.size, 1)), cfg_t)
         weight = ws * ws * ws
         return weight * values, weight * errors, ok
 
@@ -228,7 +247,8 @@ def lifshitz_force_many(eps1: DielectricModel, eps2: DielectricModel,
             return kernels.lifshitz_inner(xi, ps[idx], e1, e2, e3, L_over_c[j[idx]])
 
         # decay scale of e^{-2 xi p sqrt(eps3) L/c} in xi
-        values, errors, ok = integrate_semi_infinite_many(g, 0.0, C_LIGHT / (ps * gap), cfg_t)
+        values, errors, ok = integrate_semi_infinite_many(g, 0.0, C_LIGHT / (ps * gap), cfg_t,
+                                                          _XI_EDGES)
         # Python float pow: numpy's ** 2 is p*p, which differs from it in the
         # last bit for some p and would change the output bytes
         weight = np.array([p ** 2 for p in ps.tolist()])

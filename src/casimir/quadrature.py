@@ -216,20 +216,26 @@ def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
     return _only(cfg, *integrate_semi_infinite_many(lambda idx, x: f(x), a, [scale], cfg))
 
 
-def integrate_semi_infinite_many(f, a, scales, cfg=None):
+def integrate_semi_infinite_many(f, a, scales, cfg=None, edges=(0.0, 1.0)):
     """Integrate ``len(scales)`` integrands over [a, inf) in lockstep.
 
     ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``; integrand ``i``
     is mapped to (0, 1) by x = a + scales[i] u/(1-u) and the mapped
     integrands run through :func:`integrate_many`, after a sample check
-    that each one decays.  Returns ``(values, errors, ok)``
-    as :func:`integrate_many` does.  A non-decaying or non-finite integrand
-    raises :class:`DivergenceError`.
+    that each one decays.  Every mapped integrand starts from the panels
+    between consecutive ``edges`` in u, increasing from 0 to 1; the default
+    is the one panel (0, 1), and m panels count as m subdivisions.  Returns
+    ``(values, errors, ok)`` as :func:`integrate_many` does.  A non-decaying
+    or non-finite integrand raises :class:`DivergenceError`.
     """
     cfg = cfg or QuadratureConfig()
     scales = np.asarray(scales, dtype=float)
     if scales.ndim != 1 or not np.all((scales > 0.0) & np.isfinite(scales)):
         raise ValueError(f"scales must be positive and finite, got {scales}")
+    edges = np.asarray(edges, dtype=float)
+    if (edges.ndim != 1 or edges.size < 2 or edges[0] != 0.0 or edges[-1] != 1.0
+            or not np.all(np.diff(edges) > 0.0)):
+        raise ValueError(f"edges must increase from 0 to 1, got {edges}")
     n = scales.size
 
     idx = np.repeat(np.arange(n), _TAIL_X.size)
@@ -250,5 +256,5 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.asarray(f(idx, a + s * u / omu) * (s / (omu * omu)), dtype=float)
 
-    return integrate_many(g, np.zeros(n), np.ones(n), cfg)
+    return integrate_many(g, np.tile(edges[:-1], (n, 1)), np.tile(edges[1:], (n, 1)), cfg)
 

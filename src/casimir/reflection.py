@@ -142,13 +142,15 @@ def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
 
     Impedances stay bounded where transfer-matrix entries would overflow
     for thick absorbing layers.  Each medium's normal wavevector k_a and
-    each layer's round-trip phase serve both polarizations.
+    each layer's 1 + e and 1 - e, e its round-trip phase, serve both
+    polarizations; 1 - e comes from expm1, so a thin layer keeps its digits.
     """
     sub = None if eps_sub is None else (eps_sub, medium_normal_wavevector(eps_sub, kin))
     layers = []
     for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
         k_a = medium_normal_wavevector(eps, kin)
-        layers.append((eps, k_a, np.exp(2j * k_a * d)))
+        arg = 2j * k_a * d
+        layers.append((eps, k_a, 1.0 + np.exp(arg), -np.expm1(arg)))
 
     def impedance(pol, eps, k_a):
         """Characteristic impedance of a medium: q/k_a for s, k_a/(eps q) for p."""
@@ -157,13 +159,15 @@ def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
     pair = []
     for pol in ("s", "p"):
         Z = np.zeros_like(kin.q) if sub is None else impedance(pol, *sub)
-        for eps, k_a, phase in layers:
+        for eps, k_a, plus, minus in layers:
             Zc = impedance(pol, eps, k_a)
-            r_inner = impedance_to_reflection(Z, Zc)
-            den = 1.0 - r_inner * phase
-            if np.any(np.abs(den) <= 1e-14):
+            # Zc (1 + r e)/(1 - r e), r = (Z - Zc)/(Z + Zc), times (Z + Zc)
+            # over itself: 1 - r e cancels to nothing for a thin layer of a
+            # large-eps medium, and would sample a false pole there
+            den = Z * minus + Zc * plus
+            if np.any(np.abs(den) <= 1e-14 * (np.abs(Z) + np.abs(Zc))):
                 raise ResonanceError("stack resonance (impedance recursion pole)")
-            Z = Zc * (1.0 + r_inner * phase) / den
+            Z = Zc * (Z * plus + Zc * minus) / den
         pair.append(impedance_to_reflection(Z, vacuum_impedance(pol, kin)))
     return tuple(pair)
 

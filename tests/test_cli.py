@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -175,6 +176,28 @@ dos: {L: 1.0e-6, points: 6, %s: %s}
     assert f"dos.{key}" in capsys.readouterr().err
     # zero stays valid
     assert parse_config(_write(tmp_path, text % (key, "0.0"))).dos_params[key] == 0.0
+
+
+@pytest.mark.parametrize("dos_keys, key", [
+    ("k_max: 1.0e+300", "k_max"),
+    ("k_max: 1.0e+200", "k_max"),
+    ("Q: 1.0e+200", "Q"),
+    ("Q: 1.0e+300, k_max: 1.0e+155", "Q"),
+], ids=["k_max-1e300", "k_max-1e200", "Q-1e200", "Q-1e300"])
+def test_dos_wavenumber_past_the_float_range_is_a_config_error(tmp_path, capsys, dos_keys, key):
+    # the kinematics square hypot(Q, k_max): past about 1.3e154 1/m the
+    # rows would be computed at an infinite frequency
+    text = f"slab1: {{type: mirror}}\nslab2: {{type: mirror}}\ndos: {{L: 1.0e-6, points: 4, {dos_keys}}}\n"
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 2
+    assert f"dos.{key}" in capsys.readouterr().err
+    # just inside the range the table is computed, without a numpy warning
+    cfg = _write(tmp_path, text.replace(dos_keys, f"{key}: 1.3e+154"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
 
 
 @pytest.mark.parametrize("command, section, value", [

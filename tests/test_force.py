@@ -1,3 +1,4 @@
+import functools
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -25,8 +26,6 @@ from casimir import (
     force_imag_axis_many,
     force_real_axis,
     ideal_casimir_pressure,
-    integrate,
-    integrate_semi_infinite,
     lifshitz_force,
     lifshitz_force_many,
     load_optical_table,
@@ -35,6 +34,7 @@ from casimir import (
 from casimir import dielectric, kernels, quadrature
 from casimir import force as force_module
 from casimir.constants import C_LIGHT, HBAR
+from casimir.quadrature import integrate_many, integrate_semi_infinite_many
 from casimir.reflection import medium_normal_wavevector
 
 WP = 1.37e16
@@ -316,8 +316,10 @@ def test_imag_axis_results_are_deterministic():
 def _per_node_imag_axis(r1, r2, L, cfg):
     """Reference: the imaginary-axis pressure in the polar variables (w, t)
     with one scalar inner integral per outer node w, as (pressure, error,
-    neval, converged).  Same arithmetic as force_imag_axis, no batching."""
+    neval, converged).  Same arithmetic and starting partitions as
+    force_imag_axis, no batching."""
     inner_cfg = replace(cfg, rtol=max(0.1 * cfg.rtol, 2e-14))
+    t_edges = force_module._T_EDGES
     neval = [0]
     inner_rel = [0.0]
     converged = [True]
@@ -328,7 +330,7 @@ def _per_node_imag_axis(r1, r2, L, cfg):
         return tuple(np.real(model.amplitude(pol, Q, 1j * xi)) for pol in ("s", "p"))
 
     def inner(w):
-        def g(t):
+        def g(idx, t):
             xi = w * t * (C_LIGHT / L)
             Q = w * np.sqrt((1.0 - t) * (1.0 + t)) / L
             rs1, rp1 = amplitudes(r1, xi, Q)
@@ -336,14 +338,12 @@ def _per_node_imag_axis(r1, r2, L, cfg):
             neval[0] += t.size
             return kernels.force_integrand_wt(w, rs1 * rs2, rp1 * rp2)
 
-        try:
-            v, e = integrate(g, 0.0, 1.0, inner_cfg)
-        except ConvergenceError as exc:
-            converged[0] = False
-            v, e = exc.value, exc.error
-        return w * w * w * v, w * w * w * e
+        # one integral from the (1, m) start
+        v, e, ok = integrate_many(g, t_edges[None, :-1], t_edges[None, 1:], inner_cfg)
+        converged[0] = converged[0] and bool(ok[0])
+        return w * w * w * float(v[0]), w * w * w * float(e[0])
 
-    def f(ws):
+    def f(idx, ws):
         out = np.empty_like(ws)
         for i, w in enumerate(ws):
             v, e = inner(float(w))
@@ -352,11 +352,9 @@ def _per_node_imag_axis(r1, r2, L, cfg):
             out[i] = v
         return out
 
-    try:
-        val, err = integrate_semi_infinite(f, 0.0, cfg)
-    except ConvergenceError as exc:
-        val, err = exc.value, exc.error
-        converged[0] = False
+    vals, errs, ok = integrate_semi_infinite_many(f, 0.0, [1.0], cfg, force_module._OUTER_EDGES)
+    val, err = float(vals[0]), float(errs[0])
+    converged[0] = converged[0] and bool(ok[0])
     err = err + inner_rel[0] * abs(val)
     pref = HBAR * C_LIGHT / (2.0 * np.pi ** 2 * L ** 4)
     pressure, error = float(-pref * val), float(pref * err)
@@ -406,6 +404,46 @@ def test_thin_film_error_covers_the_deviation(rtol):
     res = force_imag_axis(film, metal, 1.009e-6, QuadratureConfig(rtol=rtol))
     assert res.converged and ref.converged
     assert abs(res.pressure - ref.pressure) <= res.error + ref.error
+
+
+@functools.lru_cache(maxsize=None)
+def _film_at_473_nm(rtol):
+    film = MultilayerReflection(
+        LayerStack(layers=((2e-8, Drude(WP, GAMMA)),), substrate=Constant(4.0)))
+    L = float(np.geomspace(5e-8, 1e-6, 5)[3])
+    return force_imag_axis(film, FresnelReflection(Drude(WP, GAMMA)), L,
+                           QuadratureConfig(rtol=rtol))
+
+
+@pytest.mark.parametrize("rtol", [1e-5, 1e-6, 1e-7])
+def test_outer_integral_does_not_stop_early_with_a_small_error(rtol):
+    # from one panel, the outer w-integral at this gap stopped after one
+    # bisection, both halves' Kronrod-Gauss differences small by chance:
+    # the deviation was 0.48, 2.35 and 5.49 times the error
+    ref = _film_at_473_nm(1e-12)
+    res = _film_at_473_nm(rtol)
+    assert res.converged and ref.converged
+    assert abs(res.pressure - ref.pressure) <= res.error
+
+
+# the evaluations each Drude-gold gap costs at rtol 1e-8; a change that
+# gives back what the starting partitions save shows here
+IMAG_AXIS_NEVAL = {5e-8: 27_840, 2e-7: 23_610, 1e-6: 21_840}
+LIFSHITZ_NEVAL = {5e-8: 37_366, 2e-7: 42_496, 1e-6: 52_486}
+
+
+def test_nested_integrals_pin_their_evaluations():
+    d = Drude(WP, GAMMA)
+    m = FresnelReflection(d)
+    cfg = QuadratureConfig(rtol=1e-8)
+    imag = force_imag_axis_many(m, m, list(IMAG_AXIS_NEVAL), cfg)
+    lif = lifshitz_force_many(d, d, Vacuum(), list(LIFSHITZ_NEVAL), cfg)
+    assert [res.neval for res in imag] == list(IMAG_AXIS_NEVAL.values())
+    assert [res.neval for res in lif] == list(LIFSHITZ_NEVAL.values())
+    # the starting panels count against the budget: ten still run out
+    budget = QuadratureConfig(rtol=1e-12, max_subdivisions=10)
+    assert not force_imag_axis(m, m, 1e-7, budget).converged
+    assert not lifshitz_force(d, d, Vacuum(), 1e-7, budget).converged
 
 
 def test_lifshitz_budget_exhaustion_keeps_p_squared_weight():

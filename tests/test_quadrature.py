@@ -255,6 +255,37 @@ def test_semi_infinite_is_integrate_on_the_mapped_integrand():
         assert integrate_semi_infinite(f, a, cfg, scale=s) == want
 
 
+def test_semi_infinite_edges_start_integrate_many_from_their_panels():
+    # the mapped integrands start from the panels between the u-edges, the
+    # (1, m) start of integrate_many, bit for bit; ten panels spend a budget
+    # of ten subdivisions in one scoring pass
+    def f(x):
+        return np.cos(20.0 * x) * np.exp(-0.5 * x)
+
+    def mapped(idx, u):
+        omu = 1.0 - u
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return f(0.7 * u / omu) * (0.7 / (omu * omu))
+
+    sizes = []
+
+    def counted(idx, x):
+        sizes.append(x.size)
+        return f(x)
+
+    for edges, budget in (([0.0, 0.4, 0.7, 1.0], 40), (np.linspace(0.0, 1.0, 11), 10)):
+        cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=budget)
+        edges = np.asarray(edges)
+        want = integrate_many(mapped, edges[None, :-1], edges[None, 1:], cfg)
+        sizes.clear()
+        got = integrate_semi_infinite_many(counted, 0.0, [0.7], cfg, edges)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    assert sizes == [4, 150] and not got[2][0]
+    for edges in ([0.0, 0.5], [0.1, 1.0], [0.0, 0.6, 0.4, 1.0], [1.0]):
+        with pytest.raises(ValueError, match="edges"):
+            integrate_semi_infinite_many(counted, 0.0, [0.7], cfg, edges)
+
+
 def _heap_loop(f, a, b, cfg):
     """The one-integral GK15 bisection loop, written out on its own; with
     lists ``a`` and ``b`` it starts from the panels [a[j], b[j]]."""

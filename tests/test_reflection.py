@@ -213,8 +213,8 @@ def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
 
 
 def _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin):
-    """The stack recursion with each medium's k_a and each layer's phase
-    recomputed for each polarization."""
+    """The stack recursion with each medium's k_a and each layer's 1 + e
+    and 1 - e, e its round-trip phase, recomputed for each polarization."""
     def characteristic_impedance(eps, pol):
         k_a = medium_normal_wavevector(eps, kin)
         if pol == "s":
@@ -226,9 +226,8 @@ def _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin):
         Z = np.zeros_like(kin.q) if eps_sub is None else characteristic_impedance(eps_sub, pol)[0]
         for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
             Zc, k_a = characteristic_impedance(eps, pol)
-            r_inner = impedance_to_reflection(Z, Zc)
-            phase = np.exp(2j * k_a * d)
-            Z = Zc * (1.0 + r_inner * phase) / (1.0 - r_inner * phase)
+            plus, minus = 1.0 + np.exp(2j * k_a * d), -np.expm1(2j * k_a * d)
+            Z = Zc * (Z * plus + Zc * minus) / (Z * minus + Zc * plus)
         pair.append(impedance_to_reflection(Z, vacuum_impedance(pol, kin)))
     return tuple(pair)
 
