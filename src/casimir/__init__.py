@@ -32,9 +32,8 @@ from .force import (
     ideal_casimir_pressure,
     lifshitz_force,
     lifshitz_force_many,
-    reduction_factor,
 )
-from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite
+from .quadrature import QuadratureConfig
 from .reflection import (
     ConstantReflection,
     FresnelReflection,

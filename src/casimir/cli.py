@@ -5,8 +5,8 @@ Usage::
     casimir run <config.yaml> [--out PATH] [--format csv|json] [--tol X]
     casimir dos <config.yaml> [--out PATH] [--format csv|json]
 
-Exit codes: 0 success, 2 config error, 3 convergence failure or an
-output file that cannot be written.
+Exit codes: 0 success, 2 config error, 3 convergence failure, an active
+slab pair or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .dielectric import (
     load_optical_table,
 )
 from .errors import CasimirError, ConfigError, OpticalTableError
-from .force import _gaps, force_imag_axis_many, force_real_axis, lifshitz_force_many
+from .force import (_check_passive, _gaps, force_imag_axis_many, force_real_axis,
+                    lifshitz_force_many)
 from .quadrature import QuadratureConfig
 from .reflection import (
     MIRROR,
@@ -48,6 +49,8 @@ from .spectrum import default_eta, dos
 
 TABLE_COLUMNS = ("L_m", "pressure_Pa", "err_Pa", "eta_red", "path", "evals", "status")
 _PATHS = ("imaginary-axis", "real-axis", "lifshitz", "all")
+# largest sweep.points or dos.points: a count past it is a typo, not a sweep
+_MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -253,8 +256,9 @@ def parse_config(path) -> RunConfig:
     s_min = gap_width("sweep", "min", _number(sweep, "sweep", "min", default=1e-6, minimum=0.0))
     s_max = gap_width("sweep", "max", _number(sweep, "sweep", "max", default=s_min, minimum=0.0))
     points = sweep.get("points", 1)
-    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
-        raise ConfigError(f"key 'sweep.points' must be an integer >= 1, got {points!r}")
+    if isinstance(points, bool) or not isinstance(points, int) or not 1 <= points <= _MAX_POINTS:
+        raise ConfigError(
+            f"key 'sweep.points' must be an integer from 1 to {_MAX_POINTS}, got {points!r}")
     if points > 1 and not s_min < s_max:
         raise ConfigError(
             f"key 'sweep.min' must be < 'sweep.max' for a sweep, got {s_min} >= {s_max}")
@@ -297,8 +301,9 @@ def parse_config(path) -> RunConfig:
         _check_keys(d, "dos", {"L", "Q", "k_max", "points", "eta"}, required=("L",))
         L = gap_width("dos", "L", _number(d, "dos", "L", minimum=0.0))
         pts = d.get("points", 500)
-        if isinstance(pts, bool) or not isinstance(pts, int) or pts < 2:
-            raise ConfigError(f"key 'dos.points' must be an integer >= 2, got {pts!r}")
+        if isinstance(pts, bool) or not isinstance(pts, int) or not 2 <= pts <= _MAX_POINTS:
+            raise ConfigError(
+                f"key 'dos.points' must be an integer from 2 to {_MAX_POINTS}, got {pts!r}")
         dos_params = {
             "L": L,
             "Q": _number(d, "dos", "Q", default=0.0),
@@ -378,7 +383,8 @@ def run_sweep(cfg: RunConfig):
 
 
 def dos_table(cfg: RunConfig):
-    """DOS-vs-k rows at fixed Q for the configured slab pair."""
+    """DOS-vs-k rows at fixed Q for the configured slab pair; an active
+    pair raises :class:`PassivityError`, as on the force paths."""
     if cfg.dos_params is None:
         raise ConfigError("missing required section 'dos'")
     p = cfg.dos_params
@@ -387,6 +393,8 @@ def dos_table(cfg: RunConfig):
     eta = p["eta"] if p["eta"] is not None else default_eta(ks, L)
     kin = WaveKinematics.create(Q, C_LIGHT * np.hypot(Q, ks))
     (rs1, rp1), (rs2, rp2) = cfg.slab1.pair(kin), cfg.slab2.pair(kin)
+    _check_passive(rs1 * rs2, "DOS k")
+    _check_passive(rp1 * rp2, "DOS k")
     rho_s = dos("s", Q, ks, rs1, rs2, L, eta).tolist()
     rho_p = dos("p", Q, ks, rp1, rp2, L, eta).tolist()
     return [{"k_1_per_m": k, "rho_s": rs, "rho_p": rp, "rho_total": rs + rp}
@@ -400,7 +408,8 @@ def _fmt(value):
 
 
 def write_table(rows, fmt, path):
-    """Write rows as CSV (17 significant digits) or a JSON array."""
+    """Write rows as CSV (17 significant digits) or a JSON array, in which
+    a non-finite float (a failed row's NaN) is null."""
     if not rows:
         raise ValueError("refusing to write an empty table")
     columns = list(rows[0].keys())
@@ -411,7 +420,9 @@ def write_table(rows, fmt, path):
             lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
             out.write_text("\n".join(lines) + "\n")
         elif fmt == "json":
-            out.write_text(json.dumps(rows, indent=2) + "\n")
+            rows = [{c: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for c, v in row.items()} for row in rows]
+            out.write_text(json.dumps(rows, indent=2, allow_nan=False) + "\n")
         else:
             raise ValueError(f"unknown output format {fmt!r}")
     except OSError as exc:

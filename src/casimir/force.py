@@ -89,11 +89,6 @@ def ideal_casimir_pressure(L: float) -> float:
     return -math.pi ** 2 * HBAR * C_LIGHT / (240.0 * L ** 4)
 
 
-def reduction_factor(result: ForceResult, L: float) -> float:
-    """Computed pressure over the ideal-mirror pressure at the same gap."""
-    return result.pressure / ideal_casimir_pressure(L)
-
-
 def _result(pressure, error, L, cfg, converged, neval, path):
     """Final ForceResult, with plain-float fields; an error estimate above
     ten times the requested relative tolerance marks it non-converged."""
@@ -145,7 +140,7 @@ def _double_integral(inner_many, n, cfg):
         return values
 
     # a spent outer budget keeps its partial sum and marks its row
-    values, errors, ok = integrate_semi_infinite_many(f, 0.0, np.ones(n), cfg, _OUTER_EDGES)
+    values, errors, ok = integrate_semi_infinite_many(f, np.ones(n), _OUTER_EDGES, cfg)
     return values, errors + inner_rel * np.abs(values), converged & ok
 
 
@@ -247,8 +242,8 @@ def lifshitz_force_many(eps1: DielectricModel, eps2: DielectricModel,
             return kernels.lifshitz_inner(xi, ps[idx], e1, e2, e3, L_over_c[j[idx]])
 
         # decay scale of e^{-2 xi p sqrt(eps3) L/c} in xi
-        values, errors, ok = integrate_semi_infinite_many(g, 0.0, C_LIGHT / (ps * gap), cfg_t,
-                                                          _XI_EDGES)
+        values, errors, ok = integrate_semi_infinite_many(g, C_LIGHT / (ps * gap), _XI_EDGES,
+                                                          cfg_t)
         # Python float pow: numpy's ** 2 is p*p, which differs from it in the
         # last bit for some p and would change the output bytes
         weight = np.array([p ** 2 for p in ps.tolist()])
@@ -340,10 +335,11 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     def inner_many(us, floor):
         """The k-integrals at the outer nodes ``us``, all in lockstep.
 
-        The propagating bulk and tail cancel almost completely at large Q';
-        every segment therefore runs on the absolute tolerance ``floor``,
-        never on a tolerance relative to its own (possibly huge) value.  A
-        zero floor is bootstrapped from a rough pass.  Returns (values,
+        The evanescent segment runs on the relative ``seg_cfg``.  The
+        propagating bulk and tail cancel almost completely at large Q', so
+        they run on the absolute tolerance ``floor``, never on a tolerance
+        relative to their own (possibly huge) values.  A zero floor is
+        bootstrapped from a rough pass.  Returns (values,
         errors, ok, octaves): the first three with one entry per node,
         ``ok[i]`` False where the evanescent segment ran out of budget or
         the oscillatory tail did not settle; ``octaves`` one array per

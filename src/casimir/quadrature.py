@@ -2,8 +2,8 @@
 
 A Gauss-Kronrod 7/15 pair drives an interval-bisection loop, run in
 lockstep over many integrals on one array store of panels.  Semi-infinite
-domains are mapped to (0, 1) by the rational substitution x = a + s u/(1-u).
-Integrands must be vectorized (``f(ndarray) -> ndarray``) and pure; for a
+domains are mapped to (0, 1) by the rational substitution x = s u/(1-u).
+Integrands are called on arrays, as ``f(idx, x)``, and must be pure; for a
 fixed configuration the result is bit-reproducible.
 """
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DivergenceError
+from .errors import DivergenceError
 
 # 15-point Kronrod nodes on [-1, 1] and weights; odd entries are the
 # embedded 7-point Gauss nodes (QUADPACK values).
@@ -79,31 +79,6 @@ def _panels(fx, half):
     return resk * half, np.maximum(err, 50.0 * _EPS * resabs * half)
 
 
-def _only(cfg, values, errors, ok):
-    """``(value, error)`` of a batch of one integral; a spent budget raises
-    :class:`ConvergenceError` with the best estimate attached."""
-    value, error = float(values[0]), float(errors[0])
-    if not ok[0]:
-        raise ConvergenceError(
-            f"quadrature did not converge in {cfg.max_subdivisions} "
-            f"subdivisions (estimate {value:.6g} +- {error:.3g})",
-            value=value, error=error)
-    return value, error
-
-
-def integrate(f, a, b, cfg=None):
-    """Integrate ``f`` over the finite interval [a, b].
-
-    Returns ``(value, error_estimate)``.  Raises :class:`ConvergenceError`
-    (with the best estimate attached) if the subdivision budget runs out.
-    The single-integrand case of :func:`integrate_many`.
-    """
-    cfg = cfg or QuadratureConfig()
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    return _only(cfg, *integrate_many(lambda idx, x: f(x), [a], [b], cfg))
-
-
 def _score(f, idx, lo, hi):
     """GK15 values and errors of the panels [lo[j], hi[j]], panel ``j``
     belonging to integrand ``idx[j]``, from one call ``f(idx, x)`` on the
@@ -146,8 +121,7 @@ def integrate_many(f, lo, hi, cfg=None):
 
     Returns ``(values, errors, ok)`` arrays.  Where the subdivision budget
     runs out ``ok[i]`` is False and ``values[i]``, ``errors[i]`` are the
-    partial sum and running error that :func:`integrate`'s
-    :class:`ConvergenceError` carries.
+    partial sum and running error of the panels it holds then.
     """
     cfg = cfg or QuadratureConfig()
     lo = np.asarray(lo, dtype=float)
@@ -202,31 +176,17 @@ def integrate_many(f, lo, hi, cfg=None):
         n_sub += 1
 
 
-def integrate_semi_infinite(f, a, cfg=None, scale=1.0):
-    """Integrate ``f`` over [a, inf) mapped to (0, 1) by x = a + scale u/(1-u).
-
-    ``scale`` sets the decay length the substitution resolves.  Returns
-    ``(value, error_estimate)``.  A non-decaying integrand is reported as
-    :class:`DivergenceError` (heuristic sample check).
-    The single-integrand case of :func:`integrate_semi_infinite_many`.
-    """
-    cfg = cfg or QuadratureConfig()
-    if scale <= 0.0 or not np.isfinite(scale):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    return _only(cfg, *integrate_semi_infinite_many(lambda idx, x: f(x), a, [scale], cfg))
-
-
-def integrate_semi_infinite_many(f, a, scales, cfg=None, edges=(0.0, 1.0)):
-    """Integrate ``len(scales)`` integrands over [a, inf) in lockstep.
+def integrate_semi_infinite_many(f, scales, edges, cfg=None):
+    """Integrate ``len(scales)`` integrands over [0, inf) in lockstep.
 
     ``f(idx, x)`` evaluates integrand ``idx[j]`` at ``x[j]``; integrand ``i``
-    is mapped to (0, 1) by x = a + scales[i] u/(1-u) and the mapped
-    integrands run through :func:`integrate_many`, after a sample check
-    that each one decays.  Every mapped integrand starts from the panels
-    between consecutive ``edges`` in u, increasing from 0 to 1; the default
-    is the one panel (0, 1), and m panels count as m subdivisions.  Returns
-    ``(values, errors, ok)`` as :func:`integrate_many` does.  A non-decaying
-    or non-finite integrand raises :class:`DivergenceError`.
+    is mapped to (0, 1) by x = scales[i] u/(1-u) and the mapped integrands
+    run through :func:`integrate_many`, after a sample check that each one
+    decays.  Every mapped integrand starts from the panels between
+    consecutive ``edges`` in u, increasing from 0 to 1; m panels count as m
+    subdivisions.  Returns ``(values, errors, ok)`` as :func:`integrate_many`
+    does.  A non-decaying or non-finite integrand raises
+    :class:`DivergenceError`.
     """
     cfg = cfg or QuadratureConfig()
     scales = np.asarray(scales, dtype=float)
@@ -239,14 +199,14 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None, edges=(0.0, 1.0)):
     n = scales.size
 
     idx = np.repeat(np.arange(n), _TAIL_X.size)
-    xs = a + scales[idx] * np.tile(_TAIL_X, n)
-    samples = np.abs((xs - a) * np.asarray(f(idx, xs), dtype=float)).reshape(n, -1)
+    xs = scales[idx] * np.tile(_TAIL_X, n)
+    samples = np.abs(xs * np.asarray(f(idx, xs), dtype=float)).reshape(n, -1)
     grows = ((samples.max(axis=1) > 0.0) & (samples[:, -1] >= samples[:, 0])
              & (samples[:, 0] > 0.0))
     if grows.any():
         raise DivergenceError(
             "integrand samples do not decay towards infinity "
-            f"(|x f(x)| at x-a = 10..1e4 scale: {samples[grows.argmax()].tolist()})")
+            f"(|x f(x)| at x = 10..1e4 scale: {samples[grows.argmax()].tolist()})")
 
     # omu underflows to zero when subdivision pushes nodes against u = 1;
     # the intermediate overflow warnings are noise
@@ -254,7 +214,6 @@ def integrate_semi_infinite_many(f, a, scales, cfg=None, edges=(0.0, 1.0)):
         omu = 1.0 - u
         s = scales[idx]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return np.asarray(f(idx, a + s * u / omu) * (s / (omu * omu)), dtype=float)
+            return np.asarray(f(idx, s * u / omu) * (s / (omu * omu)), dtype=float)
 
     return integrate_many(g, np.tile(edges[:-1], (n, 1)), np.tile(edges[1:], (n, 1)), cfg)
-

@@ -53,11 +53,6 @@ class WaveKinematics:
         k = branch_sqrt(q * q - Q * Q)
         return cls(Q=Q, freq=freq, q=q, k=k)
 
-    @property
-    def kappa(self):
-        """Imaginary-axis decay constant, kappa = sqrt(Q^2 + xi^2/c^2)."""
-        return np.abs(self.k)
-
 
 def vacuum_impedance(pol: str, kin: WaveKinematics):
     """Surface impedance of vacuum: q/k for s, k/q for p."""

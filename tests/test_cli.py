@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from casimir import Drude, FresnelReflection, PerfectMirror, dos, force_imag_axis
+from casimir import cli
 from casimir.cli import dos_table, main, parse_config, read_table_csv, run_sweep, write_table
 from casimir.constants import C_LIGHT
 from casimir.spectrum import default_eta
@@ -144,6 +145,27 @@ def test_json_output(tmp_path):
     assert json.loads(out.read_text()) == rows
 
 
+def _strict_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_failed_row_is_strict_json_null(tmp_path):
+    # constant reflection on the real-axis path fails; its NaN fields are
+    # written as null, which a strict parser reads
+    cfg = _write(tmp_path, """
+slab1: {type: constant, rs: 0.5, rp: 0.5}
+slab2: {type: constant, rs: 0.5, rp: 0.5}
+sweep: {min: 1.0e-7, points: 1}
+path: real-axis
+quadrature: {rtol: 1.0e-3}
+""")
+    out = tmp_path / "r.json"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == 3
+    rows = json.loads(out.read_text(), parse_constant=_strict_constant)
+    assert rows == [{"L_m": 1e-7, "pressure_Pa": None, "err_Pa": None, "eta_red": None,
+                     "path": "real-axis", "evals": 0, "status": "failed: ConvergenceError"}]
+
+
 def test_cli_end_to_end_mirror(tmp_path):
     cfg = _write(tmp_path, MIRROR_CFG)
     out = tmp_path / "result.csv"
@@ -198,6 +220,28 @@ def test_dos_wavenumber_past_the_float_range_is_a_config_error(tmp_path, capsys,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("run", "sweep: {min: 1.0e-7, max: 1.0e-6, points: %d}", "sweep.points"),
+    ("dos", "dos: {L: 1.0e-6, points: %d}", "dos.points"),
+], ids=["sweep", "dos"])
+def test_point_count_past_the_bound_is_a_config_error(tmp_path, capsys, monkeypatch, command,
+                                                      section, key):
+    # rejected while parsing: neither the gap grid nor the k grid is built
+    def unbuilt(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(cli.RunConfig, "separations", unbuilt)
+    monkeypatch.setattr(cli, "dos_table", unbuilt)
+    text = "slab1: {type: mirror}\nslab2: {type: mirror}\n" + section + "\n"
+    cfg = _write(tmp_path, text % 10 ** 12)
+    assert main([command, str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "1000000" in err and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+    # the bound itself is a valid count
+    parse_config(_write(tmp_path, text % 10 ** 6))
 
 
 @pytest.mark.parametrize("command, section, value", [
@@ -329,6 +373,21 @@ dos: {L: 1.0e-6, points: 6, eta: 0.0}
 """)
     assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 3
     assert "resonance" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_dos_of_an_active_pair_exits_3(tmp_path, capsys):
+    # |r1 r2| = 2.25 on every k of the grid: the force paths' passivity
+    # check, not a table of negative densities
+    cfg = _write(tmp_path, """
+slab1: {type: constant, rs: 1.5, rp: 1.5}
+slab2: {type: constant, rs: 1.5, rp: 1.5}
+dos: {L: 1.0e-6, points: 6}
+""")
+    with pytest.raises(PassivityError, match="active medium"):
+        dos_table(parse_config(cfg))
+    assert main(["dos", str(cfg), "--out", str(tmp_path / "d.csv")]) == 3
+    assert "active medium" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
 
 

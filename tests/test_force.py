@@ -29,7 +29,6 @@ from casimir import (
     lifshitz_force,
     lifshitz_force_many,
     load_optical_table,
-    reduction_factor,
 )
 from casimir import dielectric, kernels, quadrature
 from casimir import force as force_module
@@ -122,7 +121,7 @@ def test_lifshitz_filled_gap_is_weaker():
 def test_reduction_factor_consistency():
     m = FresnelReflection(Plasma(WP))
     res = force_imag_axis(m, m, 1e-6, CFG)
-    assert res.reduction == pytest.approx(reduction_factor(res, 1e-6), rel=1e-15)
+    assert res.reduction == res.pressure / ideal_casimir_pressure(1e-6)
 
 
 def test_result_fields_are_plain_floats():
@@ -352,7 +351,7 @@ def _per_node_imag_axis(r1, r2, L, cfg):
             out[i] = v
         return out
 
-    vals, errs, ok = integrate_semi_infinite_many(f, 0.0, [1.0], cfg, force_module._OUTER_EDGES)
+    vals, errs, ok = integrate_semi_infinite_many(f, [1.0], force_module._OUTER_EDGES, cfg)
     val, err = float(vals[0]), float(errs[0])
     converged[0] = converged[0] and bool(ok[0])
     err = err + inner_rel[0] * abs(val)

@@ -3,13 +3,7 @@ import heapq
 import numpy as np
 import pytest
 
-from casimir import (
-    ConvergenceError,
-    QuadratureConfig,
-    integrate,
-    integrate_semi_infinite,
-    quadrature,
-)
+from casimir import QuadratureConfig, quadrature
 from casimir.errors import DivergenceError
 from casimir.quadrature import (
     _EPS,
@@ -23,15 +17,30 @@ from casimir.quadrature import (
 )
 
 
+def _one(f, a, b, cfg=None):
+    """``(value, error, ok)`` of ``f`` over [a, b], a batch of one."""
+    values, errors, ok = integrate_many(lambda idx, x: f(x), [a], [b], cfg)
+    return values[0], errors[0], ok[0]
+
+
+def _one_semi_infinite(f, cfg=None, scale=1.0):
+    """``(value, error, ok)`` of ``f`` over [0, inf), from one panel in u."""
+    values, errors, ok = integrate_semi_infinite_many(lambda idx, x: f(x), [scale],
+                                                      [0.0, 1.0], cfg)
+    return values[0], errors[0], ok[0]
+
+
 def test_polynomial_is_exact():
     # GK15 integrates degree <= 22 exactly; check a mid-degree case
-    val, err = integrate(lambda x: 5.0 * x ** 4, 0.0, 1.0)
+    val, err, ok = _one(lambda x: 5.0 * x ** 4, 0.0, 1.0)
+    assert ok
     assert val == pytest.approx(1.0, rel=1e-14)
     assert err < 1e-12
 
 
 def test_oscillatory_integral():
-    val, _ = integrate(np.sin, 0.0, 20.0, QuadratureConfig(rtol=1e-12))
+    val, _, ok = _one(np.sin, 0.0, 20.0, QuadratureConfig(rtol=1e-12))
+    assert ok
     assert val == pytest.approx(1.0 - np.cos(20.0), rel=1e-11)
 
 
@@ -40,57 +49,58 @@ def test_error_estimate_covers_true_error():
     for _ in range(25):
         a = rng.uniform(0.5, 3.0)
         b = rng.uniform(0.1, 5.0)
-        val, err = integrate(lambda x: np.exp(-a * x) * np.cos(b * x), 0.0, 10.0,
-                             QuadratureConfig(rtol=1e-10))
+        val, err, ok = _one(lambda x: np.exp(-a * x) * np.cos(b * x), 0.0, 10.0,
+                            QuadratureConfig(rtol=1e-10))
         exact = (a - np.exp(-10 * a) * (a * np.cos(10 * b) - b * np.sin(10 * b))) \
             / (a * a + b * b)
+        assert ok
         assert abs(val - exact) <= max(err, 1e-13 * abs(exact))
 
 
 def test_integrable_endpoint_singularity():
-    val, _ = integrate(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0,
-                       QuadratureConfig(rtol=1e-9, max_subdivisions=100000))
+    val, _, ok = _one(lambda x: 1.0 / np.sqrt(x), 1e-300, 1.0,
+                      QuadratureConfig(rtol=1e-9, max_subdivisions=100000))
+    assert ok
     assert val == pytest.approx(2.0, rel=1e-6)
 
 
 def test_budget_exhaustion_carries_best_estimate():
+    # a spent budget is reported by ok alone, with the partial sum and the
+    # running error of the panels held then
+    def f(x):
+        return np.cos(50.0 * x ** 2)
+
     cfg = QuadratureConfig(rtol=1e-13, max_subdivisions=10)
-    with pytest.raises(ConvergenceError) as exc_info:
-        integrate(lambda x: np.cos(50.0 * x ** 2), 0.0, 10.0, cfg)
-    err = exc_info.value
-    assert np.isfinite(err.value)
-    assert err.error > 0.0
+    val, err, ok = _one(f, 0.0, 10.0, cfg)
+    assert not ok
+    assert np.isfinite(val)
+    assert err > 0.0
+    assert (val, err, ok) == _heap_loop(f, 0.0, 10.0, cfg)
 
 
 def test_semi_infinite_exponential_decay():
-    cfg = QuadratureConfig(rtol=1e-11)
-    val, _ = integrate_semi_infinite(lambda x: x * np.exp(-x), 0.0, cfg)
+    val, _, ok = _one_semi_infinite(lambda x: x * np.exp(-x), QuadratureConfig(rtol=1e-11))
+    assert ok
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
 def test_semi_infinite_algebraic_decay():
     # 1/(1+x)^2 from 0 to inf = 1; slow decay stresses the transform
-    val, _ = integrate_semi_infinite(lambda x: (1.0 + x) ** -2, 0.0,
-                                     QuadratureConfig(rtol=1e-11))
-    assert val == pytest.approx(1.0, rel=1e-9)
-
-
-def test_semi_infinite_shifted_origin():
-    val, _ = integrate_semi_infinite(lambda x: np.exp(-(x - 2.0)), 2.0,
-                                     QuadratureConfig(rtol=1e-11))
+    val, _, ok = _one_semi_infinite(lambda x: (1.0 + x) ** -2, QuadratureConfig(rtol=1e-11))
+    assert ok
     assert val == pytest.approx(1.0, rel=1e-9)
 
 
 def test_non_decaying_integrand_is_flagged():
-    with pytest.raises(DivergenceError):
-        integrate_semi_infinite(lambda x: np.ones_like(x), 0.0)
+    with pytest.raises(DivergenceError, match="do not decay"):
+        _one_semi_infinite(lambda x: np.ones_like(x))
 
 
 def test_results_are_deterministic():
     def f(x):
         return np.exp(-x) * np.sin(7.0 * x)
 
-    runs = {integrate(f, 0.0, 30.0, QuadratureConfig(rtol=1e-11))[0] for _ in range(5)}
+    runs = {_one(f, 0.0, 30.0, QuadratureConfig(rtol=1e-11))[0] for _ in range(5)}
     assert len(runs) == 1
 
 
@@ -100,7 +110,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(max_subdivisions=2)
     with pytest.raises(ValueError):
-        integrate(np.exp, 1.0, 1.0)
+        _one(np.exp, 1.0, 1.0)
 
 
 def _score(fx, half):
@@ -205,54 +215,44 @@ def test_lockstep_matches_scalar_loop_exactly():
              lambda x: np.cos(20.0 * x) * np.exp(-0.5 * x))
     scales = np.array([1.0, 2.5, 0.7])
     cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=10)
-    values, errors, ok = integrate_semi_infinite_many(_batch(funcs), 0.0, scales, cfg)
+    values, errors, ok = integrate_semi_infinite_many(_batch(funcs), scales, [0.0, 1.0], cfg)
     assert ok.tolist() == [True, True, False]
     for i, (fn, scale) in enumerate(zip(funcs, scales)):
-        try:
-            want = integrate_semi_infinite(fn, 0.0, cfg, scale=float(scale))
-        except ConvergenceError as exc:
-            want = (exc.value, exc.error)
-            assert i == 2
-        assert values[i] == want[0]
-        assert errors[i] == want[1]
+        assert (values[i], errors[i], ok[i]) == _one_semi_infinite(fn, cfg, float(scale))
 
 
 def test_lockstep_flags_non_decaying_member():
     funcs = (lambda x: np.exp(-x), lambda x: np.ones_like(x))
     with pytest.raises(DivergenceError, match="do not decay"):
-        integrate_semi_infinite_many(_batch(funcs), 0.0, np.ones(2))
+        integrate_semi_infinite_many(_batch(funcs), np.ones(2), [0.0, 1.0])
 
 
 def test_lockstep_flags_non_finite_member():
     funcs = (lambda x: np.exp(-x), lambda x: np.full_like(x, np.nan))
     with pytest.raises(DivergenceError, match="non-finite"):
-        integrate_semi_infinite_many(_batch(funcs), 0.0, np.ones(2))
+        integrate_semi_infinite_many(_batch(funcs), np.ones(2), [0.0, 1.0])
 
 
 def test_semi_infinite_is_integrate_on_the_mapped_integrand():
-    # integrate_semi_infinite equals integrate() over (0, 1) after the map
-    # x = a + s u/(1-u), to the bit, also when the budget runs out
-    def mapped(f, a, s):
+    # the semi-infinite integral is the one-integral loop over (0, 1) after
+    # the map x = s u/(1-u), to the bit, also when the budget runs out
+    def mapped(f, s):
         def g(u):
             omu = 1.0 - u
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                return f(a + s * u / omu) * (s / (omu * omu))
+                return f(s * u / omu) * (s / (omu * omu))
         return g
 
-    cases = ((lambda x: np.exp(-x), 0.0, 1.0),
-             (lambda x: (1.0 + x) ** -2, 2.0, 2.5),
-             (lambda x: np.cos(20.0 * x) * np.exp(-0.5 * x), 0.0, 0.7))
+    cases = ((lambda x: np.exp(-x), 1.0),
+             (lambda x: (3.0 + x) ** -2, 2.5),
+             (lambda x: np.cos(20.0 * x) * np.exp(-0.5 * x), 0.7))
     cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=10)
-    for f, a, s in cases:
-        try:
-            want = integrate(mapped(f, a, s), 0.0, 1.0, cfg)
-        except ConvergenceError as exc:
-            with pytest.raises(ConvergenceError) as got:
-                integrate_semi_infinite(f, a, cfg, scale=s)
-            assert (got.value.value, got.value.error) == (exc.value, exc.error)
-            assert str(got.value) == str(exc)
-            continue
-        assert integrate_semi_infinite(f, a, cfg, scale=s) == want
+    oks = []
+    for f, s in cases:
+        want = _heap_loop(mapped(f, s), 0.0, 1.0, cfg)
+        assert _one_semi_infinite(f, cfg, s) == want
+        oks.append(want[2])
+    assert oks == [True, True, False]
 
 
 def test_semi_infinite_edges_start_integrate_many_from_their_panels():
@@ -278,12 +278,12 @@ def test_semi_infinite_edges_start_integrate_many_from_their_panels():
         edges = np.asarray(edges)
         want = integrate_many(mapped, edges[None, :-1], edges[None, 1:], cfg)
         sizes.clear()
-        got = integrate_semi_infinite_many(counted, 0.0, [0.7], cfg, edges)
+        got = integrate_semi_infinite_many(counted, [0.7], edges, cfg)
         assert [x.tolist() for x in got] == [x.tolist() for x in want]
     assert sizes == [4, 150] and not got[2][0]
     for edges in ([0.0, 0.5], [0.1, 1.0], [0.0, 0.6, 0.4, 1.0], [1.0]):
         with pytest.raises(ValueError, match="edges"):
-            integrate_semi_infinite_many(counted, 0.0, [0.7], cfg, edges)
+            integrate_semi_infinite_many(counted, [0.7], edges, cfg)
 
 
 def _heap_loop(f, a, b, cfg):
@@ -327,8 +327,8 @@ _FINITE_CASES = ((np.sin, 0.0, 20.0),
 
 
 def test_integrate_many_equals_a_loop_of_integrate():
-    # different intervals; the endpoint singularity and the chirp run out
-    # of budget
+    # each integral of a batch over different intervals equals the batch of
+    # it alone; the endpoint singularity and the chirp run out of budget
     cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=40)
     funcs = [case[0] for case in _FINITE_CASES]
     lo = [case[1] for case in _FINITE_CASES]
@@ -336,26 +336,19 @@ def test_integrate_many_equals_a_loop_of_integrate():
     values, errors, ok = integrate_many(_batch(funcs), lo, hi, cfg)
     assert ok.tolist() == [True, False, True, False]
     for i, (f, a, b) in enumerate(_FINITE_CASES):
-        try:
-            want = integrate(f, a, b, cfg)
-        except ConvergenceError as exc:
-            want = (exc.value, exc.error)
-        assert (values[i], errors[i]) == want
+        assert (values[i], errors[i], ok[i]) == _one(f, a, b, cfg)
 
 
 def test_integrate_is_the_heap_loop_bit_for_bit():
+    # one integral from one panel; where the budget runs out, the partial
+    # sum and running error match too
     cfg = QuadratureConfig(rtol=1e-10, max_subdivisions=40)
+    oks = []
     for f, a, b in _FINITE_CASES:
-        value, error, ok = _heap_loop(f, a, b, cfg)
-        if ok:
-            assert integrate(f, a, b, cfg) == (value, error)
-            continue
-        with pytest.raises(ConvergenceError) as exc_info:
-            integrate(f, a, b, cfg)
-        exc = exc_info.value
-        assert (exc.value, exc.error) == (value, error)
-        assert str(exc) == ("quadrature did not converge in 40 subdivisions "
-                            f"(estimate {value:.6g} +- {error:.3g})")
+        want = _heap_loop(f, a, b, cfg)
+        assert _one(f, a, b, cfg) == want
+        oks.append(want[2])
+    assert oks == [True, False, True, False]
 
 
 def test_integrate_many_from_a_starting_partition_is_the_heap_loop():
@@ -397,12 +390,15 @@ def test_integrate_many_breaks_error_ties_as_the_heap_loop():
 
 def test_integrate_keeps_its_argument_and_divergence_errors():
     for a, b in ((1.0, 1.0), (2.0, 1.0), (0.0, np.inf), (np.nan, 1.0)):
-        with pytest.raises(ValueError, match="need finite a < b"):
-            integrate(np.exp, a, b)
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            _one(np.exp, a, b)
     with pytest.raises(DivergenceError, match=r"non-finite value inside \[0.0, 1.0\]"):
-        integrate(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
+        _one(lambda x: np.full_like(x, np.inf), 0.0, 1.0)
     with pytest.raises(ValueError, match="need finite lo < hi"):
         integrate_many(_batch([np.exp, np.exp]), [0.0, 1.0], [1.0, 0.5])
+    for scale in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="scales must be positive and finite"):
+            _one_semi_infinite(np.exp, scale=scale)
 
 
 def _nan_inside(x):
@@ -412,11 +408,11 @@ def _nan_inside(x):
 def test_nan_during_bisection_is_a_divergence():
     # the first panel's nodes miss the NaN strip; bisection finds it
     with pytest.raises(DivergenceError, match="non-finite"):
-        integrate(_nan_inside, 0.0, 1.0, QuadratureConfig(rtol=1e-10))
+        _one(_nan_inside, 0.0, 1.0, QuadratureConfig(rtol=1e-10))
     with pytest.raises(DivergenceError, match="non-finite"):
         integrate_many(_batch([np.cos, _nan_inside]), [0.0, 0.0], [1.0, 1.0],
                        QuadratureConfig(rtol=1e-10))
     # the same strip seen through the semi-infinite map, at x = 0.33 / 0.67
     with pytest.raises(DivergenceError, match="non-finite"):
-        integrate_semi_infinite(lambda x: _nan_inside(x / (1.0 + x)) * np.exp(-x), 0.0,
-                                QuadratureConfig(rtol=1e-10))
+        _one_semi_infinite(lambda x: _nan_inside(x / (1.0 + x)) * np.exp(-x),
+                           QuadratureConfig(rtol=1e-10))
