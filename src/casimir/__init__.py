@@ -11,7 +11,6 @@ from .dielectric import (
     Tabulated,
     Vacuum,
     load_optical_table,
-    permittivity_from_table,
 )
 from .errors import (
     CasimirError,
@@ -43,7 +42,6 @@ from .reflection import (
     PerfectMirror,
     ReflectionModel,
     WaveKinematics,
-    fresnel,
     impedance_to_reflection,
     vacuum_impedance,
 )

@@ -274,7 +274,9 @@ def _segment_sums(w, y, x):
 
 
 def _continue_table(table: OpticalTable, xi):
-    """eps(i xi) of :func:`permittivity_from_table` at a 1-D array ``xi``.
+    """eps(i xi) = 1 + (2/pi) Int_0^inf w Im eps(w) / (w^2 + xi^2) dw of the
+    table at a 1-D array ``xi``, in closed form: Im eps linear on each grid
+    segment, with the tails below and above the grid given inline.
 
     Works through ``xi`` in blocks of rows, each one numpy pass over
     (xi, segment) of about _BLOCK_ELEMENTS elements; each xi gets the bits
@@ -371,23 +373,6 @@ def _table_eps_iw(table: OpticalTable, xi):
     if outside.any():
         out[outside] = _continue_table(table, xi[outside])
     return out
-
-
-def permittivity_from_table(table: OpticalTable, xi: float) -> float:
-    """Continue tabulated absorption data to the imaginary axis.
-
-    Evaluates eps(i xi) = 1 + (2/pi) * Int_0^inf w Im eps(w) / (w^2 + xi^2) dw
-    in closed form, with the tabulated data interpolated linearly on its
-    grid, a 1/w^3 tail above it and, below it, a Drude-type tail
-    A/(w (w^2 + B^2)) fitted to the two lowest grid points when w Im eps
-    falls there, else the insulator tail Im eps = y0 w / w0 that goes
-    linearly to zero from the first point.  Between 1e8 and 1e22 rad/s the
-    closed form is read from a piecewise Chebyshev interpolant, built once
-    per table and checked against it at build time.
-    """
-    if not np.isreal(xi) or xi <= 0.0:
-        raise FrequencyDomainError(f"xi must be real > 0, got {xi}")
-    return float(_table_eps_iw(table, np.array([float(xi)]))[0])
 
 
 @dataclass(frozen=True)

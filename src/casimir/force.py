@@ -322,11 +322,14 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     def envelope(Qp, k):
         """Bound on |integral| of each oscillatory chunk [k, 2k], from the
         slowly varying round-trip amplitude alone (integration by parts in
-        the e^{2ik} phase); inf where the bound is not usable."""
+        the e^{2ik} phase); inf where the bound is not usable.  Every node
+        comes here, at real k, where passive media keep |r1 r2| <= 1."""
         kp = np.stack((k, np.sqrt(k * (2.0 * k)), 2.0 * k), axis=1).ravel()
         Qp = np.repeat(Qp, 3)
         q = np.sqrt(Qp * Qp + kp * kp)
         prod_s, prod_p = products(Qp, q)
+        _check_passive(prod_s, "propagating k")
+        _check_passive(prod_p, "propagating k")
         rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(-1, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.max((kp * kp / q).reshape(-1, 3) * rho / (1.0 - rho), axis=1)

@@ -1,8 +1,9 @@
 """Hot numeric kernels for the pressure and permittivity integrands.
 
-Plain numpy expressions on float64 scalars or arrays; nothing here
-touches complex numbers (the imaginary-axis quantities they evaluate are
-real).
+Plain numpy expressions on float64 scalars or arrays, no complex numbers
+(the imaginary-axis quantities they evaluate are real).  No force path
+calls ``fresnel_rs_rp_iw`` or ``force_integrand_iw``: they stay only for
+``perfbench/kernel_headroom.py`` and as test oracles.
 """
 
 import numpy as np

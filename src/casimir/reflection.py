@@ -3,7 +3,8 @@
 Everything is driven by the exact impedance-to-reflection mapping
 r = (Z - Z0)/(Z + Z0); Fresnel amplitudes, multilayer stacks and ideal
 mirrors are special cases of it.  Amplitudes are real on the imaginary
-frequency axis for every physical variant.
+frequency axis for every physical variant: there each model's ``pair``
+runs in the real, rotated variables of :class:`_RotatedKinematics`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .constants import C_LIGHT
 from .dielectric import DielectricModel, _check_frequency
 from .errors import ResonanceError, SingularKinematicsError
@@ -53,6 +53,39 @@ class WaveKinematics:
         k = branch_sqrt(q * q - Q * Q)
         return cls(Q=Q, freq=freq, q=q, k=k)
 
+    # a layer d thick has the round-trip phase exp(phase k_a d)
+    phase = 2j
+
+    def eps(self, medium):
+        return medium.eval(self.freq)
+
+    def normal(self, eps):
+        """k_a = sqrt(eps q^2 - Q^2), outgoing branch; k_a = 0 raises."""
+        k_a = branch_sqrt(eps * self.q * self.q - self.Q * self.Q)
+        if np.any(k_a == 0.0):
+            raise SingularKinematicsError("branch-cut-ambiguous kinematics k_a = 0")
+        return k_a
+
+
+class _RotatedKinematics:
+    """:class:`WaveKinematics` at freq = i*xi over i: q = xi/c, k = kappa =
+    sqrt(Q^2 + q^2), k_a = kappa_a = sqrt(Q^2 + eps q^2) > 0, and phases
+    e^{-2 kappa_a d}, all real; no ratio the amplitudes take changes."""
+
+    __slots__ = ("xi", "Q", "q", "k")
+    phase = -2.0
+    freq = property(lambda self: 1j * self.xi)
+
+    def __init__(self, xi, Q):
+        self.xi, self.Q, self.q = xi, Q, xi / C_LIGHT
+        self.k = np.sqrt(Q * Q + self.q * self.q)
+
+    def eps(self, medium):
+        return medium.eval_iw(self.xi)
+
+    def normal(self, eps):
+        return np.sqrt(self.Q * self.Q + eps * self.q * self.q)
+
 
 def vacuum_impedance(pol: str, kin: WaveKinematics):
     """Surface impedance of vacuum: q/k for s, k/q for p."""
@@ -65,17 +98,10 @@ def vacuum_impedance(pol: str, kin: WaveKinematics):
 
 def impedance_to_reflection(Z, Z0):
     """Exact mapping r = (Z - Z0)/(Z + Z0)."""
-    Z = np.asarray(Z, dtype=complex)
-    Z0 = np.asarray(Z0, dtype=complex)
     den = Z + Z0
     if np.any(np.abs(den) <= 1e-14 * (np.abs(Z) + np.abs(Z0))):
         raise ResonanceError("impedance pole Z = -Z0")
     return (Z - Z0) / den
-
-
-def medium_normal_wavevector(eps, kin: WaveKinematics):
-    """k_a = sqrt(eps q^2 - Q^2) with the outgoing branch."""
-    return branch_sqrt(eps * kin.q * kin.q - kin.Q * kin.Q)
 
 
 def _pick(pol, pair):
@@ -85,24 +111,6 @@ def _pick(pol, pair):
     if pol == "p":
         return pair[1]
     raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
-
-
-def _fresnel_pair(eps, kin: WaveKinematics):
-    """Fresnel (r_s, r_p) of a semi-infinite medium of permittivity ``eps``.
-
-    r_s = (k - k_a)/(k + k_a), r_p = (k_a - eps k)/(k_a + eps k); equal to
-    the impedance route with Z_a^s = q/k_a, Z_a^p = k_a/(eps q).
-    """
-    k_a = medium_normal_wavevector(eps, kin)
-    if np.any(k_a == 0.0):
-        raise SingularKinematicsError("branch-cut-ambiguous kinematics k_a = 0")
-    return ((kin.k - k_a) / (kin.k + k_a),
-            (k_a - eps * kin.k) / (k_a + eps * kin.k))
-
-
-def fresnel(model: DielectricModel, pol: str, kin: WaveKinematics):
-    """Fresnel amplitude of a semi-infinite medium (see :func:`_fresnel_pair`)."""
-    return _pick(pol, _fresnel_pair(model.eval(kin.freq), kin))
 
 
 MIRROR = "mirror"
@@ -140,11 +148,11 @@ def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
     each layer's 1 + e and 1 - e, e its round-trip phase, serve both
     polarizations; 1 - e comes from expm1, so a thin layer keeps its digits.
     """
-    sub = None if eps_sub is None else (eps_sub, medium_normal_wavevector(eps_sub, kin))
+    sub = None if eps_sub is None else (eps_sub, kin.normal(eps_sub))
     layers = []
     for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
-        k_a = medium_normal_wavevector(eps, kin)
-        arg = 2j * k_a * d
+        k_a = kin.normal(eps)
+        arg = kin.phase * k_a * d
         layers.append((eps, k_a, 1.0 + np.exp(arg), -np.expm1(arg)))
 
     def impedance(pol, eps, k_a):
@@ -170,10 +178,11 @@ def _stack_reflection(stack: LayerStack, eps_sub, eps_layers, kin):
 class ReflectionModel:
     """Maps wave kinematics to the complex reflection amplitudes (r_s, r_p).
 
-    A model implements one method, ``pair(kin)``, which returns complex
-    arrays broadcasting over ``kin.Q`` and ``kin.freq``; ``amplitude``, the
-    real-axis path, ``casimir dos`` and the generic ``imag_axis`` all derive
-    from it.  Instances are immutable and ``pair`` is pure.
+    A model implements one method, ``pair(kin)``, which returns arrays
+    broadcasting over ``kin.Q`` and ``kin.q`` of a :class:`WaveKinematics`
+    or, from ``imag_axis``, a :class:`_RotatedKinematics`; ``amplitude``, the
+    real-axis path and ``casimir dos`` derive from it too.  Instances are
+    immutable and ``pair`` is pure.
     """
 
     def pair(self, kin: WaveKinematics):
@@ -184,18 +193,20 @@ class ReflectionModel:
         return _pick(pol, self.pair(WaveKinematics.create(Q, freq)))
 
     def imag_axis(self, xi, Q):
-        """(r_s, r_p) as real float arrays at freq = 1j*xi (rad/s) and
-        parallel wavevector Q, point by point (arrays of one shape).
+        """(r_s, r_p) as real float arrays at freq = 1j*xi (rad/s, xi > 0)
+        and parallel wavevector Q, point by point (arrays of one shape).
 
-        This generic route makes one ``pair`` call on all points and checks
-        that the amplitudes are real.
+        One ``pair`` call on all points, in the rotated variables; a complex
+        result (a mirror, constant amplitudes, an impedance callable) is
+        checked to be real.
         """
-        kin = WaveKinematics.create(Q, 1j * xi)
-        pair = [np.asarray(r, dtype=complex) for r in self.pair(kin)]
-        if any(np.any(np.abs(r.imag) > 1e-9 * (1.0 + np.abs(r))) for r in pair):
+        rs, rp = self.pair(_RotatedKinematics(xi, Q))
+        if rs.dtype.kind != "c" and rp.dtype.kind != "c":
+            return rs, rp
+        if any(np.any(np.abs(r.imag) > 1e-9 * (1.0 + np.abs(r))) for r in (rs, rp)):
             raise ValueError(
                 f"model {self!r} returned an amplitude that is not real on the imaginary axis")
-        return pair[0].real, pair[1].real
+        return rs.real, rp.real
 
 
 def _shape(kin):
@@ -225,14 +236,17 @@ class ConstantReflection(ReflectionModel):
 
 @dataclass(frozen=True)
 class FresnelReflection(ReflectionModel):
+    """Semi-infinite medium: r_s = (k - k_a)/(k + k_a) and
+    r_p = (k_a - eps k)/(k_a + eps k), the impedance route with
+    Z_a^s = q/k_a and Z_a^p = k_a/(eps q)."""
+
     dielectric: DielectricModel
 
     def pair(self, kin):
-        return _fresnel_pair(self.dielectric.eval(kin.freq), kin)
-
-    def imag_axis(self, xi, Q):
-        """Fresnel amplitudes at i*xi from the real kernel."""
-        return kernels.fresnel_rs_rp_iw(self.dielectric.eval_iw(xi), xi / C_LIGHT, Q)
+        eps = kin.eps(self.dielectric)
+        k_a = kin.normal(eps)
+        return ((kin.k - k_a) / (kin.k + k_a),
+                (k_a - eps * kin.k) / (k_a + eps * kin.k))
 
 
 @dataclass(frozen=True)
@@ -258,6 +272,6 @@ class MultilayerReflection(ReflectionModel):
 
     def pair(self, kin):
         sub = self.stack.substrate
-        eps_sub = None if sub == MIRROR else sub.eval(kin.freq)
-        eps_layers = [medium.eval(kin.freq) for _, medium in self.stack.layers]
+        eps_sub = None if sub == MIRROR else kin.eps(sub)
+        eps_layers = [kin.eps(medium) for _, medium in self.stack.layers]
         return _stack_reflection(self.stack, eps_sub, eps_layers, kin)

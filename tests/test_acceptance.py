@@ -15,7 +15,6 @@ import pytest
 
 import casimir as cs
 from casimir.constants import C_LIGHT
-from casimir.reflection import medium_normal_wavevector
 from casimir.spectrum import default_eta
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,10 +75,10 @@ def test_criterion_3_exact_impedance_mapping(capsys):
         Q = rng.uniform(0.0, 100.0) * w / C_LIGHT  # far beyond the light line
         eps = complex(rng.uniform(-20.0, 20.0), rng.uniform(0.1, 10.0))
         kin = cs.WaveKinematics.create(Q, w)
-        k_a = medium_normal_wavevector(eps, kin)
+        k_a = kin.normal(eps)
         model = _FixedEps(eps)
         for pol, Z in (("s", kin.q / k_a), ("p", k_a / (eps * kin.q))):
-            direct = cs.fresnel(model, pol, kin)
+            direct = cs.FresnelReflection(model).amplitude(pol, Q, w)
             mapped = cs.impedance_to_reflection(Z, cs.vacuum_impedance(pol, kin))
             worst = max(worst, abs(complex(direct) - complex(mapped)))
     _report(capsys, worst < 1e-12, "3 exact impedance mapping",
@@ -171,7 +170,7 @@ def test_criterion_8_kk_self_consistency(capsys):
     dr = cs.Drude(1.37e16, 5.3e13)
     worst = 0.0
     for xi in np.geomspace(1e14, 1e16, 21):
-        got = cs.permittivity_from_table(table, xi)
+        got = cs.Tabulated(table).eval_iw(xi)
         worst = max(worst, abs(got / float(dr.eval_iw(xi)) - 1.0))
     _report(capsys, worst < 1e-2, "8 KK self-consistency",
             f"worst rel deviation {worst:.2e} over xi in [1e14, 1e16]")

@@ -15,7 +15,6 @@ from casimir import (
     Tabulated,
     Vacuum,
     load_optical_table,
-    permittivity_from_table,
 )
 
 WP = 1.37e16
@@ -157,7 +156,7 @@ def test_kk_continuation_reproduces_drude():
     table = _drude_table()
     dr = Drude(WP, GAMMA)
     for xi in np.geomspace(1e14, 1e16, 15):
-        got = permittivity_from_table(table, xi)
+        got = Tabulated(table).eval_iw(xi)
         assert got == pytest.approx(float(dr.eval_iw(xi)), rel=1e-2)
 
 
@@ -191,7 +190,7 @@ def test_kk_continuation_of_insulator_data():
     w = np.linspace(1e15, 6e15, 200)
     table = OpticalTable(omega=w, im_eps=osc.eval(w).imag)
     for xi in np.geomspace(1e13, 1e17, 9):
-        got = permittivity_from_table(table, xi)
+        got = Tabulated(table).eval_iw(xi)
         assert got == pytest.approx(float(osc.eval_iw(xi)), rel=1e-2)
 
 
@@ -245,8 +244,9 @@ def test_kk_continuation_matches_a_40_digit_oracle():
                          [B, B * (1.0 + 1e-9), B * (1.0 - 1e-9), gold.omega[37]]])
     with mp.workdps(40):
         for table in (gold, insulator):
-            scalar = [permittivity_from_table(table, x) for x in xi.tolist()]
-            assert np.array_equal(Tabulated(table).eval_iw(xi), scalar)
+            model = Tabulated(table)
+            scalar = [model.eval_iw(x) for x in xi.tolist()]
+            assert np.array_equal(model.eval_iw(xi), scalar)
             oracle = [_kk_oracle(table, x) for x in xi.tolist()]
             worst = max(abs(float(got / want - 1)) for got, want in zip(scalar, oracle))
             assert worst <= 1e-14

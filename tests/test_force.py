@@ -34,7 +34,6 @@ from casimir import dielectric, kernels, quadrature
 from casimir import force as force_module
 from casimir.constants import C_LIGHT, HBAR
 from casimir.quadrature import integrate_many, integrate_semi_infinite_many
-from casimir.reflection import medium_normal_wavevector
 
 WP = 1.37e16
 GAMMA = 5.3e13
@@ -145,6 +144,15 @@ def test_active_amplitudes_rejected():
     hot = ConstantReflection(r_s=1.2, r_p=0.0)
     with pytest.raises(PassivityError):
         force_imag_axis(hot, hot, 1e-6, CFG)
+
+
+@pytest.mark.parametrize("amplitudes", [(0.9, 1.2), (1.5, 1.5)], ids=["mixed", "active"])
+def test_real_axis_rejects_an_active_pair(amplitudes):
+    # |r1 r2| > 1 at real k is an active pair, as on the imaginary axis,
+    # not a contour that fails to converge
+    r1, r2 = (ConstantReflection(r_s=r, r_p=r) for r in amplitudes)
+    with pytest.raises(PassivityError, match="propagating k"):
+        force_real_axis(r1, r2, 100e-9, QuadratureConfig(rtol=1e-3))
 
 
 def test_constant_amplitude_cavity_matches_closed_form():
@@ -326,7 +334,7 @@ def _per_node_imag_axis(r1, r2, L, cfg):
     def amplitudes(model, xi, Q):
         if isinstance(model, FresnelReflection):
             return kernels.fresnel_rs_rp_iw(model.dielectric.eval_iw(xi), xi / C_LIGHT, Q)
-        return tuple(np.real(model.amplitude(pol, Q, 1j * xi)) for pol in ("s", "p"))
+        return model.imag_axis(xi, Q)
 
     def inner(w):
         def g(idx, t):
@@ -366,7 +374,7 @@ def _drude_impedance(pol, Q, freq):
     # the Drude slab's surface impedance, Z^s = q/k_a and Z^p = k_a/(eps q)
     kin = WaveKinematics.create(Q, freq)
     eps = Drude(WP, GAMMA).eval(freq)
-    k_a = medium_normal_wavevector(eps, kin)
+    k_a = kin.normal(eps)
     return kin.q / k_a if pol == "s" else k_a / (eps * kin.q)
 
 

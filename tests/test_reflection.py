@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,13 +20,13 @@ from casimir import (
     Tabulated,
     Vacuum,
     WaveKinematics,
-    fresnel,
     impedance_to_reflection,
     vacuum_impedance,
 )
 from casimir import kernels
 from casimir.constants import C_LIGHT
-from casimir.reflection import _stack_reflection, branch_sqrt, medium_normal_wavevector
+from casimir import reflection
+from casimir.reflection import _RotatedKinematics, _stack_reflection, branch_sqrt
 
 WP = 1.37e16
 GAMMA = 5.3e13
@@ -90,9 +92,9 @@ def test_impedance_route_equals_fresnel():
         Q = rng.uniform(0.0, 50.0) * w / C_LIGHT  # up to 50x the light line
         kin = WaveKinematics.create(Q, w)
         eps = model.eval(w)
-        k_a = medium_normal_wavevector(eps, kin)
+        k_a = kin.normal(eps)
         for pol, Z in (("s", kin.q / k_a), ("p", k_a / (eps * kin.q))):
-            direct = fresnel(model, pol, kin)
+            direct = FresnelReflection(model).amplitude(pol, Q, w)
             mapped = impedance_to_reflection(Z, vacuum_impedance(pol, kin))
             assert abs(direct - mapped) < 1e-12
 
@@ -192,7 +194,8 @@ def test_imag_axis_builds_a_shared_tables_interpolant_once(monkeypatch):
 
 def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
     # each medium is evaluated in one array call on every point; the
-    # amplitudes equal those built from one scalar eval per point and medium
+    # amplitudes equal those built from one scalar eval_iw per point and
+    # medium, in the rotated variables
     rng = np.random.default_rng(5)
     layers = ((2e-8, Drude(WP, GAMMA)), (5e-9, DrudeLorentz(1.5, ((2.0, 3e15, 1e14),))),
               (1e-8, Plasma(WP)))
@@ -203,20 +206,20 @@ def test_multilayer_imag_axis_array_eps_keeps_the_per_node_bits():
     got = MultilayerReflection(stack).imag_axis(xi[idx], Q)
 
     def per_node(medium):
-        return np.array([complex(medium.eval(1j * x)) for x in xi.tolist()])
+        return np.array([medium.eval_iw(x) for x in xi.tolist()])
 
     want = _stack_reflection(stack, per_node(stack.substrate)[idx],
                              [per_node(m)[idx] for _, m in layers],
-                             WaveKinematics.create(Q, 1j * xi[idx]))
+                             _RotatedKinematics(xi[idx], Q))
     for g, w in zip(got, want):
-        assert g.tolist() == w.real.tolist()
+        assert g.dtype == float and g.tolist() == w.tolist()
 
 
 def _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin):
     """The stack recursion with each medium's k_a and each layer's 1 + e
     and 1 - e, e its round-trip phase, recomputed for each polarization."""
     def characteristic_impedance(eps, pol):
-        k_a = medium_normal_wavevector(eps, kin)
+        k_a = kin.normal(eps)
         if pol == "s":
             return kin.q / k_a, k_a
         return k_a / (eps * kin.q), k_a
@@ -226,7 +229,7 @@ def _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin):
         Z = np.zeros_like(kin.q) if eps_sub is None else characteristic_impedance(eps_sub, pol)[0]
         for (d, _), eps in zip(reversed(stack.layers), reversed(eps_layers)):
             Zc, k_a = characteristic_impedance(eps, pol)
-            plus, minus = 1.0 + np.exp(2j * k_a * d), -np.expm1(2j * k_a * d)
+            plus, minus = 1.0 + np.exp(kin.phase * k_a * d), -np.expm1(kin.phase * k_a * d)
             Z = Zc * (Z * plus + Zc * minus) / (Z * minus + Zc * plus)
         pair.append(impedance_to_reflection(Z, vacuum_impedance(pol, kin)))
     return tuple(pair)
@@ -245,9 +248,9 @@ def test_stack_recursion_shares_wavevectors_bit_for_bit(axis, substrate, n_layer
     w = np.geomspace(1e12, 1e17, 400)
     # propagating and evanescent on the real axis: Q from 0 to 3 w/c
     Q = rng.uniform(0.0, 3.0, w.size) * w / C_LIGHT
-    kin = WaveKinematics.create(Q, w if axis == "real" else 1j * w)
-    eps_sub = None if substrate == "mirror" else substrate.eval(kin.freq)
-    eps_layers = [m.eval(kin.freq) for _, m in layers]
+    kin = WaveKinematics.create(Q, w) if axis == "real" else _RotatedKinematics(w, Q)
+    eps_sub = None if substrate == "mirror" else kin.eps(substrate)
+    eps_layers = [kin.eps(m) for _, m in layers]
     got = _stack_reflection(stack, eps_sub, eps_layers, kin)
     want = _stack_reflection_per_polarization(stack, eps_sub, eps_layers, kin)
     for g, x in zip(got, want):
@@ -308,13 +311,56 @@ def test_pair_matches_amplitude_for_every_model():
 
 
 def test_no_model_overrides_amplitude():
-    # amplitude derives from pair; a model states its coefficients only there
+    # amplitude and imag_axis derive from pair; a model states its
+    # coefficients only there
     pending = list(ReflectionModel.__subclasses__())
     assert pending
     while pending:
         cls = pending.pop()
         assert "amplitude" not in vars(cls), cls
+        assert "imag_axis" not in vars(cls), cls
         pending.extend(cls.__subclasses__())
+
+
+def test_imag_axis_builds_no_complex_kinematics(monkeypatch):
+    # every model's pair runs on the real, rotated kinematics
+    def refuse(*args, **kwargs):
+        raise AssertionError("imag_axis built a complex WaveKinematics")
+
+    monkeypatch.setattr(reflection.WaveKinematics, "create", refuse)
+    omega = np.geomspace(1e13, 1e18, 200)
+    gold = Tabulated(OpticalTable(omega=omega, im_eps=Drude(WP, GAMMA).eval(omega).imag))
+    metal = Drude(WP, GAMMA)
+    models = (
+        FresnelReflection(metal),
+        FresnelReflection(Plasma(WP)),
+        FresnelReflection(DrudeLorentz(1.5, ((2.0, 3e15, 3e14),))),
+        FresnelReflection(gold),
+        MultilayerReflection(LayerStack(layers=((2e-8, gold),), substrate=Constant(4.0))),
+        MultilayerReflection(LayerStack(layers=((2e-8, metal),), substrate="mirror")),
+        PerfectMirror(),
+        ConstantReflection(r_s=0.4, r_p=-0.2),
+    )
+    xi = np.geomspace(1e12, 1e18, 30)
+    Q = np.geomspace(1e4, 1e8, xi.size)
+    for model in models:
+        for r in model.imag_axis(xi, Q):
+            assert isinstance(r, np.ndarray) and r.dtype == float and r.shape == xi.shape
+
+
+@pytest.mark.parametrize("model", [
+    FresnelReflection(Constant(4.0)),
+    MultilayerReflection(LayerStack((), Constant(4.0))),
+    MultilayerReflection(LayerStack(((1e-8, Constant(4.0)),), Drude(WP, GAMMA))),
+], ids=["fresnel", "stack", "layer"])
+def test_real_axis_medium_at_k_a_zero_is_singular(model):
+    # eps q^2 = Q^2 puts k_a on its branch point: every medium of every
+    # model refuses it, before any division
+    w = 1e15
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularKinematicsError, match="k_a = 0"):
+            model.pair(WaveKinematics.create(2.0 * w / C_LIGHT, w))
 
 
 def test_normal_incidence_polarizations_coincide():
