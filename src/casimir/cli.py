@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .constants import C_LIGHT
 from .dielectric import (
     Constant,
     DielectricModel,
@@ -391,7 +390,7 @@ def dos_table(cfg: RunConfig):
     L, Q, k_max, points = p["L"], p["Q"], p["k_max"], p["points"]
     ks = np.linspace(k_max / points, k_max, points)
     eta = p["eta"] if p["eta"] is not None else default_eta(ks, L)
-    kin = WaveKinematics.create(Q, C_LIGHT * np.hypot(Q, ks))
+    kin = WaveKinematics.real_axis(Q, np.hypot(Q, ks), ks)
     (rs1, rp1), (rs2, rp2) = cfg.slab1.pair(kin), cfg.slab2.pair(kin)
     _check_passive(rs1 * rs2, "DOS k")
     _check_passive(rp1 * rp2, "DOS k")

@@ -36,11 +36,22 @@ class DielectricModel:
     """Common surface of all permittivity variants.
 
     Subclasses are frozen dataclasses: immutable after construction and
-    safe to evaluate concurrently.
+    safe to evaluate concurrently.  A model states its formula in
+    ``_eval`` and, where it has a real one, eps(i xi) in ``_eval_iw``;
+    ``eval`` and ``eval_iw`` check the frequencies before calling them.
     """
+
+    # True where eps(0) is finite, so that eval accepts freq = 0
+    _finite_at_zero = False
 
     def eval(self, freq):
         """Complex permittivity at complex frequency (vectorized)."""
+        _check_frequency(freq, allow_zero=self._finite_at_zero)
+        return self._eval(np.asarray(freq, dtype=complex))
+
+    def _eval(self, freq):
+        """The permittivity formula at frequencies already checked to lie on
+        one axis: a complex array, or a real one on the real axis."""
         raise NotImplementedError
 
     def eval_iw(self, xi):
@@ -57,14 +68,15 @@ class DielectricModel:
 
     def _eval_iw(self, xi):
         """eps(i*xi) at validated ``xi`` (a float or an array)."""
-        return np.real(self.eval(1j * xi))
+        return np.real(self._eval(1j * xi))
 
 
 @dataclass(frozen=True)
 class Vacuum(DielectricModel):
-    def eval(self, freq):
-        _check_frequency(freq, allow_zero=True)
-        return np.ones_like(np.asarray(freq, dtype=complex))
+    _finite_at_zero = True
+
+    def _eval(self, freq):
+        return np.ones_like(freq)
 
     def _eval_iw(self, xi):
         return np.ones_like(xi)
@@ -80,9 +92,13 @@ class Constant(DielectricModel):
         if not np.isreal(self.eps_r) or self.eps_r < 1.0:
             raise ValueError(f"constant permittivity must be real >= 1, got {self.eps_r}")
 
-    def eval(self, freq):
-        _check_frequency(freq, allow_zero=True)
-        return np.full_like(np.asarray(freq, dtype=complex), self.eps_r)
+    _finite_at_zero = True
+
+    def _eval(self, freq):
+        return np.full_like(freq, self.eps_r)
+
+    def _eval_iw(self, xi):
+        return np.full_like(xi, self.eps_r)
 
 
 @dataclass(frozen=True)
@@ -95,10 +111,8 @@ class Plasma(DielectricModel):
         if self.omega_p <= 0.0:
             raise ValueError("omega_p must be positive")
 
-    def eval(self, freq):
-        _check_frequency(freq)
-        f = np.asarray(freq, dtype=complex)
-        return 1.0 - (self.omega_p / f) ** 2
+    def _eval(self, freq):
+        return 1.0 - (self.omega_p / freq) ** 2
 
     def _eval_iw(self, xi):
         return kernels.plasma_eps_iw(xi, self.omega_p)
@@ -115,10 +129,8 @@ class Drude(DielectricModel):
         if self.omega_p <= 0.0 or self.gamma <= 0.0:
             raise ValueError("omega_p and gamma must be positive")
 
-    def eval(self, freq):
-        _check_frequency(freq)
-        f = np.asarray(freq, dtype=complex)
-        return 1.0 - self.omega_p ** 2 / (f * (f + 1j * self.gamma))
+    def _eval(self, freq):
+        return 1.0 - self.omega_p ** 2 / (freq * (freq + 1j * self.gamma))
 
     def _eval_iw(self, xi):
         return kernels.drude_eps_iw(xi, self.omega_p, self.gamma)
@@ -141,12 +153,19 @@ class DrudeLorentz(DielectricModel):
             if s < 0.0 or w0 <= 0.0 or g < 0.0:
                 raise ValueError(f"bad oscillator (S={s}, omega_0={w0}, gamma={g})")
 
-    def eval(self, freq):
-        _check_frequency(freq, allow_zero=True)
-        f = np.asarray(freq, dtype=complex)
-        eps = np.full_like(f, complex(self.eps_inf))
+    _finite_at_zero = True
+
+    def _eval(self, freq):
+        eps = np.full_like(freq, self.eps_inf, dtype=complex)
         for s, w0, g in self.oscillators:
-            eps = eps + s * w0 ** 2 / (w0 ** 2 - f ** 2 - 1j * g * f)
+            eps = eps + s * w0 ** 2 / (w0 ** 2 - freq ** 2 - 1j * g * freq)
+        return eps
+
+    def _eval_iw(self, xi):
+        # omega = i xi: w0^2 - omega^2 - i g omega = w0^2 + xi^2 + g xi
+        eps = np.full_like(xi, self.eps_inf)
+        for s, w0, g in self.oscillators:
+            eps = eps + s * w0 ** 2 / (w0 ** 2 + xi * xi + g * xi)
         return eps
 
 
@@ -386,16 +405,14 @@ class Tabulated(DielectricModel):
 
     table: OpticalTable
 
-    def eval(self, freq):
-        _check_frequency(freq)
-        f = np.asarray(freq, dtype=complex)
-        if np.all(f.real == 0.0):
-            return np.asarray(self.eval_iw(f.imag), dtype=complex)
+    def _eval(self, freq):
+        om = np.real(freq)
+        if np.all(om == 0.0):
+            return np.asarray(self.eval_iw(np.imag(freq)), dtype=complex)
         if self.table.re_eps is None:
             raise FrequencyDomainError(
                 "tabulated model without a Re eps column cannot be evaluated "
                 "at real frequency")
-        om = f.real
         tb = self.table
         if np.any(om < tb.omega[0]) or np.any(om > tb.omega[-1]):
             raise FrequencyDomainError("real frequency outside the tabulated grid")

@@ -291,19 +291,20 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     neval = 0
     budget = _REAL_AXIS_EVALS_PER_NODE  # the seed's round of one node
 
-    def products(Qp, q):
-        """(r1 r2)_s and (r1 r2)_p at Q = Q'/L and frequency c q/L."""
-        kin = WaveKinematics.create(Qp / L, (C_LIGHT / L) * q)
+    def products(Qp, q, k):
+        """(r1 r2)_s and (r1 r2)_p at Q = Q'/L, frequency c q/L and the
+        contour's own normal wavevector k/L."""
+        kin = WaveKinematics.real_axis(Qp / L, q / L, k / L)
         rs1, rp1 = r1.pair(kin)
         rs2, rp2 = (rs1, rp1) if r2 is r1 else r2.pair(kin)
         return rs1 * rs2, rp1 * rp2
 
-    def round_trips(Qp, q, phase):
+    def round_trips(Qp, q, k, phase):
         """Polarization-summed g/(1-g) with g = r1 r2 * phase, counted
         against the budget."""
         nonlocal neval
         out = 0.0
-        for prod in products(Qp, q):
+        for prod in products(Qp, q, k):
             g = prod * phase
             den = 1.0 - g
             if np.any(np.abs(den) < 1e-12):
@@ -327,7 +328,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         kp = np.stack((k, np.sqrt(k * (2.0 * k)), 2.0 * k), axis=1).ravel()
         Qp = np.repeat(Qp, 3)
         q = np.sqrt(Qp * Qp + kp * kp)
-        prod_s, prod_p = products(Qp, q)
+        prod_s, prod_p = products(Qp, q, kp)
         _check_passive(prod_s, "propagating k")
         _check_passive(prod_p, "propagating k")
         rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(-1, 3)
@@ -352,13 +353,13 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
             Qp = us[idx]
             s = Qp * np.sin(phi)  # e^{2 i k L} = e^{-2 s} with k = i s/L
-            b = round_trips(Qp, Qp * np.cos(phi), np.exp(-2.0 * s))
+            b = round_trips(Qp, Qp * np.cos(phi), 1j * s, np.exp(-2.0 * s))
             return -s * s * b.imag
 
         def propagating(idx, kp):
             Qp = us[idx]
             q = np.sqrt(Qp * Qp + kp * kp)
-            b = round_trips(Qp, q, np.exp(2j * kp))
+            b = round_trips(Qp, q, kp, np.exp(2j * kp))
             return (kp * kp / q) * b.real
 
         n = us.size

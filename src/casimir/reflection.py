@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .dielectric import DielectricModel, _check_frequency
-from .errors import ResonanceError, SingularKinematicsError
+from .errors import FrequencyDomainError, ResonanceError, SingularKinematicsError
 
 
 def branch_sqrt(z):
@@ -35,29 +35,47 @@ class WaveKinematics:
     """Vacuum wave kinematics at parallel wavevector Q and frequency freq.
 
     ``q = freq/c`` so that q^2 = Q^2 + k^2 holds exactly on both frequency
-    axes; on the imaginary axis k = i*kappa with kappa real.
+    axes; on the imaginary axis k = i*kappa with kappa real.  Both
+    constructors check the frequencies once, so ``eps`` calls each model's
+    formula unchecked.
     """
 
     Q: np.ndarray
-    freq: complex
+    freq: np.ndarray
     q: np.ndarray
     k: np.ndarray
 
     @classmethod
     def create(cls, Q, freq):
+        """At any frequency on either axis, with complex q and
+        k = sqrt(q^2 - Q^2) on the outgoing branch."""
         _check_frequency(freq)
         Q = np.asarray(Q, dtype=float)
         if np.any(Q < 0.0):
             raise ValueError("Q must be >= 0")
-        q = np.asarray(freq, dtype=complex) / C_LIGHT
+        freq = np.asarray(freq, dtype=complex)
+        q = freq / C_LIGHT
         k = branch_sqrt(q * q - Q * Q)
         return cls(Q=Q, freq=freq, q=q, k=k)
+
+    @classmethod
+    def real_axis(cls, Q, q, k):
+        """On the real frequency axis, from real ``q = omega/c > 0`` and the
+        caller's own ``k`` with k^2 = q^2 - Q^2 (i s, s > 0, where the wave
+        is evanescent; real and positive where it propagates), as a contour
+        parametrization knows it exactly; ``freq = c q`` stays real."""
+        q, Q = np.asarray(q), np.asarray(Q, dtype=float)
+        if q.dtype.kind == "c" or not (q > 0.0).all():
+            raise FrequencyDomainError("real-axis frequencies must be real and positive")
+        if (Q < 0.0).any():
+            raise ValueError("Q must be >= 0")
+        return cls(Q=Q, freq=C_LIGHT * q, q=q, k=k)
 
     # a layer d thick has the round-trip phase exp(phase k_a d)
     phase = 2j
 
     def eps(self, medium):
-        return medium.eval(self.freq)
+        return medium._eval(self.freq)
 
     def normal(self, eps):
         """k_a = sqrt(eps q^2 - Q^2), outgoing branch; k_a = 0 raises."""
@@ -197,7 +215,7 @@ class ReflectionModel:
         and parallel wavevector Q, point by point (arrays of one shape).
 
         One ``pair`` call on all points, in the rotated variables; a complex
-        result (a mirror, constant amplitudes, an impedance callable) is
+        result (complex constant amplitudes, an impedance callable) is
         checked to be real.
         """
         rs, rp = self.pair(_RotatedKinematics(xi, Q))
@@ -218,20 +236,24 @@ class PerfectMirror(ReflectionModel):
     """Ideal-mirror limit (eps -> infinity) of the Fresnel amplitudes."""
 
     def pair(self, kin):
-        r = np.full(_shape(kin), -1.0 + 0.0j)
+        r = np.full(_shape(kin), -1.0)
         return r, r
 
 
 @dataclass(frozen=True)
 class ConstantReflection(ReflectionModel):
-    """Scripted fixed amplitude per polarization (not necessarily physical)."""
+    """Scripted fixed amplitude per polarization (not necessarily physical);
+    real arrays where both amplitudes are real."""
 
     r_s: complex
     r_p: complex
 
     def pair(self, kin):
+        rs, rp = complex(self.r_s), complex(self.r_p)
+        if not (rs.imag or rp.imag):
+            rs, rp = rs.real, rp.real
         shape = _shape(kin)
-        return np.full(shape, complex(self.r_s)), np.full(shape, complex(self.r_p))
+        return np.full(shape, rs), np.full(shape, rp)
 
 
 @dataclass(frozen=True)

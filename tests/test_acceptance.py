@@ -63,8 +63,8 @@ class _FixedEps(cs.DielectricModel):
     def __init__(self, eps):
         self._eps = complex(eps)
 
-    def eval(self, freq):
-        return np.full_like(np.asarray(freq, dtype=complex), self._eps)
+    def _eval(self, freq):
+        return np.full_like(freq, self._eps, dtype=complex)
 
 
 def test_criterion_3_exact_impedance_mapping(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from casimir import Drude, FresnelReflection, PerfectMirror, dos, force_imag_axis
-from casimir import cli
+from casimir import cli, dielectric, reflection
 from casimir.cli import dos_table, main, parse_config, read_table_csv, run_sweep, write_table
 from casimir.constants import C_LIGHT
 from casimir.spectrum import default_eta
@@ -362,6 +362,31 @@ dos: {{L: 1.0e-6, Q: 2.0e6, points: 300}}
             want = dos(pol, 2.0e6, k, r1, r2, 1.0e-6, default_eta(k, 1.0e-6))
             assert row[f"rho_{pol}"] == pytest.approx(want, rel=1e-12)
         assert row["rho_total"] == row["rho_s"] + row["rho_p"]
+
+
+def test_contour_and_dos_table_check_each_frequency_once(tmp_path, monkeypatch):
+    # both run on the real-axis kinematics, which check the frequencies
+    # once per call and hand them to each model's formula unchecked: no
+    # complex kinematics are built, and no model's eval runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("complex kinematics or a second frequency check")
+
+    monkeypatch.setattr(reflection.WaveKinematics, "create", refuse)
+    monkeypatch.setattr(dielectric, "_check_frequency", refuse)
+    slab = "{type: fresnel, material: {model: drude, omega_p: 1.0e16, gamma: 1.0e14}}"
+    run = _write(tmp_path, f"""
+slab1: {slab}
+slab2: {slab}
+sweep: {{min: 1.0e-8, points: 1}}
+path: real-axis
+quadrature: {{rtol: 1.0e-3}}
+""", "run.yaml")
+    assert main(["run", str(run), "--out", str(tmp_path / "run.csv")]) == 0
+    (row,) = read_table_csv(tmp_path / "run.csv")
+    assert row["status"] == "ok" and int(row["evals"]) == 136_170
+    cfg = _write(tmp_path, f"slab1: {slab}\nslab2: {slab}\ndos: {{L: 1.0e-6, Q: 2.0e6}}\n")
+    assert main(["dos", str(cfg), "--out", str(tmp_path / "dos.csv")]) == 0
+    assert len(read_table_csv(tmp_path / "dos.csv")) == 500
 
 
 def test_dos_without_broadening_on_a_resonance_exits_3(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from casimir import (
     Constant,
+    DielectricModel,
     Drude,
     DrudeLorentz,
     FrequencyDomainError,
@@ -70,7 +71,8 @@ def test_imag_axis_values_are_real_and_exceed_unity():
 def test_imag_axis_agrees_with_generic_route():
     # the compiled kernels must match eval(i xi) bit-for-bit in structure
     xi = np.geomspace(1e12, 1e17, 40)
-    for model in (Plasma(WP), Drude(WP, GAMMA)):
+    for model in (Plasma(WP), Drude(WP, GAMMA), DrudeLorentz(1.5, ((2.0, 8e15, 1e14),)),
+                  Constant(4.0)):
         np.testing.assert_allclose(model.eval_iw(xi),
                                    np.real(model.eval(1j * xi)), rtol=1e-14)
 
@@ -194,14 +196,14 @@ def test_kk_continuation_of_insulator_data():
         assert got == pytest.approx(float(osc.eval_iw(xi)), rel=1e-2)
 
 
-@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA), Vacuum()],
-                         ids=["plasma", "drude", "vacuum"])
+@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA), Vacuum(), Constant(4.0)],
+                         ids=["plasma", "drude", "vacuum", "constant"])
 def test_scalar_and_array_eval_iw_agree_bit_for_bit(model):
     xi = np.geomspace(1e12, 1e18, 20000)
     scalar = np.array([model.eval_iw(x) for x in xi.tolist()])
     assert np.array_equal(model.eval_iw(xi), scalar)
-    if isinstance(model, Vacuum):
-        # its own eps(i xi) keeps the bits of the generic complex route
+    if isinstance(model, (Vacuum, Constant)):
+        # their own eps(i xi) keeps the bits of the generic complex route
         assert model.eval_iw(xi).tobytes() == np.real(model.eval(1j * xi)).tobytes()
 
 
@@ -393,3 +395,19 @@ def test_blocked_interpolant_build_is_the_single_pass_build_bit_for_bit(monkeypa
         assert dielectric._chebyshev_of_table(table).tobytes() == coef.tobytes()
         monkeypatch.undo()
     assert passed == [True, True, False]
+
+
+def test_frequencies_are_checked_in_the_base_eval_alone():
+    # a model states its formula in _eval; eval checks the frequencies once
+    # and is never overridden, so callers that checked them already (the
+    # wave kinematics) call _eval directly
+    pending = list(DielectricModel.__subclasses__())
+    assert len(pending) >= 6
+    while pending:
+        cls = pending.pop()
+        assert "eval" not in vars(cls) and "_eval" in vars(cls), cls
+        pending.extend(cls.__subclasses__())
+    for model, freq in ((Vacuum(), 0.0), (Constant(4.0), 0.0), (Drude(WP, GAMMA), 1e15)):
+        assert np.array_equal(model.eval(freq), model._eval(np.asarray(freq, dtype=complex)))
+    with pytest.raises(FrequencyDomainError):
+        Plasma(WP).eval(0.0)

@@ -416,3 +416,27 @@ def test_nan_during_bisection_is_a_divergence():
     with pytest.raises(DivergenceError, match="non-finite"):
         _one_semi_infinite(lambda x: _nan_inside(x / (1.0 + x)) * np.exp(-x),
                            QuadratureConfig(rtol=1e-10))
+
+
+def test_integrate_many_of_a_large_batch_is_the_heap_loop():
+    # forty integrals finish over many rounds, the chirps out of budget, so
+    # finished rows build up in the store and it is compacted several times
+    # while the rest run on; each result is the heap loop's, bit for bit
+    cfg = QuadratureConfig(rtol=1e-11, max_subdivisions=45)
+    rates = np.linspace(0.5, 40.0, 40)
+    funcs = [lambda x, a=a: np.cos(a * x) * np.exp(-x / a) for a in rates]
+    funcs[::7] = [lambda x, a=a: np.cos(a * x * x) for a in rates[::7]]
+    ends = [np.linspace(0.0, 1.0 + (i % 5), 3) for i in range(rates.size)]
+    lo, hi = np.array([e[:-1] for e in ends]), np.array([e[1:] for e in ends])
+    rounds = []
+
+    def f(idx, x):
+        rounds.append(np.unique(idx).size)
+        return _batch(funcs)(idx, x)
+
+    values, errors, ok = integrate_many(f, lo, hi, cfg)
+    assert 0 < np.count_nonzero(~ok) < rates.size // 2
+    assert len(set(rounds)) > 10
+    for i, fn in enumerate(funcs):
+        assert (values[i], errors[i], ok[i]) == _heap_loop(fn, lo[i].tolist(),
+                                                            hi[i].tolist(), cfg)

@@ -8,6 +8,7 @@ from casimir import (
     ConstantReflection,
     Drude,
     DrudeLorentz,
+    FrequencyDomainError,
     FresnelReflection,
     ImpedanceReflection,
     LayerStack,
@@ -158,6 +159,63 @@ def test_imag_axis_matches_amplitude_for_every_model():
             want = np.real(model.amplitude(pol, Q, 1j * xi[idx]))
             assert r.dtype == float
             np.testing.assert_allclose(r, want, rtol=1e-12)
+
+
+def test_real_axis_kinematics_match_amplitude_for_every_model():
+    # the contour's own k, i s on the evanescent segment and real on the
+    # propagating one, with real q and freq, gives the amplitudes of the
+    # complex kinematics at omega = c q; a mirror and real constant
+    # amplitudes come out as real arrays
+    rng = np.random.default_rng(41)
+    Q = rng.uniform(1e6, 1e7, 40)
+    phi = rng.uniform(0.05, 1.4, Q.size)
+    kp = rng.uniform(0.05, 5.0, Q.size) * Q
+    omega = np.geomspace(1e13, 1e17, 300)
+    eps = Drude(WP, GAMMA).eval(omega)
+    gold = Tabulated(OpticalTable(omega=omega, im_eps=eps.imag, re_eps=eps.real))
+    metal = Drude(WP, GAMMA)
+    models = (
+        FresnelReflection(metal),
+        FresnelReflection(Plasma(WP)),
+        FresnelReflection(DrudeLorentz(1.5, ((2.0, 3e15, 3e14),))),
+        FresnelReflection(Constant(4.0)),
+        FresnelReflection(gold),
+        MultilayerReflection(LayerStack(layers=((2e-8, metal), (1e-8, gold)),
+                                        substrate=Constant(4.0))),
+        PerfectMirror(),
+        ConstantReflection(r_s=0.4, r_p=-0.2),
+        ConstantReflection(r_s=0.4 + 0.1j, r_p=-0.2),
+        ImpedanceReflection(impedance=lambda pol, Q, freq: np.full(
+            np.broadcast(Q, freq).shape, 0.3 + 0.2j if pol == "s" else 2.0 + 0.5j)),
+    )
+    for q, k in ((Q * np.cos(phi), 1j * (Q * np.sin(phi))), (np.hypot(Q, kp), kp)):
+        kin = WaveKinematics.real_axis(Q, q, k)
+        assert kin.freq.dtype == float
+        for model in models:
+            got = model.pair(kin)
+            real = model in (PerfectMirror(), ConstantReflection(r_s=0.4, r_p=-0.2))
+            for pol, r in zip(("s", "p"), got):
+                assert (r.dtype == float) == real
+                np.testing.assert_allclose(r, model.amplitude(pol, Q, C_LIGHT * q),
+                                           rtol=1e-12)
+
+
+def test_real_axis_kinematics_refuse_frequencies_off_the_real_axis():
+    Q, k = np.array([1e6, 1e6]), np.array([1e6, 1e6])
+    for q in ([2e6, 0.0], [2e6, -1e6], [np.nan, 2e6], [2e6 + 0j, 2e6]):
+        with pytest.raises(FrequencyDomainError, match="real and positive"):
+            WaveKinematics.real_axis(Q, np.array(q), k)
+    with pytest.raises(ValueError, match="Q must be >= 0"):
+        WaveKinematics.real_axis(np.array([-1.0, 1e6]), np.array([2e6, 2e6]), k)
+
+
+def test_tabulated_without_re_column_refuses_real_axis_kinematics():
+    # the table's own check survives the unchecked formula call
+    omega = np.geomspace(1e13, 1e17, 200)
+    gold = Tabulated(OpticalTable(omega=omega, im_eps=Drude(WP, GAMMA).eval(omega).imag))
+    kin = WaveKinematics.real_axis(1e6, np.array([2e6]), np.array([np.sqrt(3.0) * 1e6]))
+    with pytest.raises(FrequencyDomainError, match="Re eps"):
+        FresnelReflection(gold).pair(kin)
 
 
 def test_imag_axis_rejects_complex_constant():
