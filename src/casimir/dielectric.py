@@ -44,6 +44,16 @@ class DielectricModel:
     # True where eps(0) is finite, so that eval accepts freq = 0
     _finite_at_zero = False
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the wave kinematics call _eval, so an eval override alone would
+        # be skipped there; say so when the class is defined
+        if "eval" in vars(cls) and "_eval" not in vars(cls):
+            raise TypeError(
+                f"{cls.__name__} overrides eval; state the permittivity "
+                "formula in _eval instead (eval checks the frequencies and "
+                "calls it)")
+
     def eval(self, freq):
         """Complex permittivity at complex frequency (vectorized)."""
         _check_frequency(freq, allow_zero=self._finite_at_zero)
@@ -52,7 +62,8 @@ class DielectricModel:
     def _eval(self, freq):
         """The permittivity formula at frequencies already checked to lie on
         one axis: a complex array, or a real one on the real axis."""
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} must state its permittivity formula in _eval")
 
     def eval_iw(self, xi):
         """Real permittivity on the imaginary axis, eps(i*xi), xi > 0.
@@ -68,7 +79,7 @@ class DielectricModel:
 
     def _eval_iw(self, xi):
         """eps(i*xi) at validated ``xi`` (a float or an array)."""
-        return np.real(self._eval(1j * xi))
+        return np.real(self._eval(np.asarray(1j * xi)))
 
 
 @dataclass(frozen=True)
@@ -159,13 +170,6 @@ class DrudeLorentz(DielectricModel):
         eps = np.full_like(freq, self.eps_inf, dtype=complex)
         for s, w0, g in self.oscillators:
             eps = eps + s * w0 ** 2 / (w0 ** 2 - freq ** 2 - 1j * g * freq)
-        return eps
-
-    def _eval_iw(self, xi):
-        # omega = i xi: w0^2 - omega^2 - i g omega = w0^2 + xi^2 + g xi
-        eps = np.full_like(xi, self.eps_inf)
-        for s, w0, g in self.oscillators:
-            eps = eps + s * w0 ** 2 / (w0 ** 2 + xi * xi + g * xi)
         return eps
 
 

@@ -112,8 +112,7 @@ def integrate_many(f, lo, hi, cfg=None):
     integral with its panels in order of creation.  A round bisects each
     row's panel of largest error, the oldest of equal ones; the children
     take two new slots and the parent stays behind as a hole.  A finished
-    integral's panel values are summed left to right; its row stays in the
-    store, never bisected again, until finished rows outnumber live ones.
+    integral leaves the store with its panel values summed left to right.
 
     ``lo`` and ``hi`` of shape (n, m) start integral ``i`` from the m
     panels [lo[i, j], hi[i, j]] instead of one; its starting value and
@@ -137,11 +136,10 @@ def integrate_many(f, lo, hi, cfg=None):
     for j in range(1, m):
         total_val += vals[j::m]
         total_err += errs[j::m]
-    # store[:, rows[i], s] is (lo, hi, value, error) of slot s of live
-    # integral active[i]
+    # store[:, i, s] is (lo, hi, value, error) of slot s of live integral i
     store = np.stack([lo.ravel(), hi.ravel(), vals, errs]).reshape(4, n, m)
     values, errors, ok = np.empty(n), np.empty(n), np.ones(n, dtype=bool)
-    active = rows = np.arange(n)
+    active = np.arange(n)
     # every live integral is bisected once a round, so all active
     # integrals have used the same number of subdivisions and slots
     n_sub = m
@@ -151,22 +149,20 @@ def integrate_many(f, lo, hi, cfg=None):
             ok[active] = done
             done[:] = True
         if done.any():
-            order = np.argsort(store[0, rows[done]], axis=1, kind="stable")
-            by_lo = np.take_along_axis(store[2, rows[done]], order, axis=1)
+            order = np.argsort(store[0, done], axis=1, kind="stable")
+            by_lo = np.take_along_axis(store[2, done], order, axis=1)
             by_lo[:, 0] += 0.0  # Python's sum starts from +0.0
             values[active[done]] = np.cumsum(by_lo, axis=1)[:, -1]
             errors[active[done]] = total_err[done]
-            active, rows = active[~done], rows[~done]
+            active, store = active[~done], store[:, ~done]
             total_val, total_err = total_val[~done], total_err[~done]
             if not active.size:
                 return values, errors, ok
-            if 2 * rows.size < store.shape[1]:
-                store, rows = store[:, rows], np.arange(rows.size)
         used = 2 * n_sub - m
         if used + 2 > store.shape[2]:  # more than double the slots
-            holes = np.broadcast_to(_HOLE[:, None, None], (4, store.shape[1], used + 2))
+            holes = np.broadcast_to(_HOLE[:, None, None], (4, active.size, used + 2))
             store = np.concatenate([store, holes], axis=2)
-        worst = (slice(None), rows, np.argmax(store[3], axis=1)[rows])
+        worst = (slice(None), np.arange(active.size), np.argmax(store[3], axis=1))
         a, b, v_old, e_old = store[worst]
         store[worst] = _HOLE[:, None]
         mid = 0.5 * (a + b)
@@ -176,7 +172,7 @@ def integrate_many(f, lo, hi, cfg=None):
         v, e = v.reshape(-1, 2), e.reshape(-1, 2)
         total_val += v[:, 0] + v[:, 1] - v_old
         total_err += e[:, 0] + e[:, 1] - e_old
-        store[:, rows, used:used + 2] = np.array([ends[:, :2], ends[:, 1:], v, e])
+        store[:, :, used:used + 2] = np.array([ends[:, :2], ends[:, 1:], v, e])
         n_sub += 1
 
 

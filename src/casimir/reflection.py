@@ -63,13 +63,16 @@ class WaveKinematics:
         """On the real frequency axis, from real ``q = omega/c > 0`` and the
         caller's own ``k`` with k^2 = q^2 - Q^2 (i s, s > 0, where the wave
         is evanescent; real and positive where it propagates), as a contour
-        parametrization knows it exactly; ``freq = c q`` stays real."""
+        parametrization knows it exactly.  ``freq = c q`` stays real for
+        the permittivity formulas; ``q`` and ``k`` are cast to complex here
+        once rather than in every mixed operation of a ``pair``."""
         q, Q = np.asarray(q), np.asarray(Q, dtype=float)
         if q.dtype.kind == "c" or not (q > 0.0).all():
             raise FrequencyDomainError("real-axis frequencies must be real and positive")
         if (Q < 0.0).any():
             raise ValueError("Q must be >= 0")
-        return cls(Q=Q, freq=C_LIGHT * q, q=q, k=k)
+        return cls(Q=Q, freq=C_LIGHT * q, q=q.astype(complex),
+                   k=np.asarray(k, dtype=complex))
 
     # a layer d thick has the round-trip phase exp(phase k_a d)
     phase = 2j

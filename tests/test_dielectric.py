@@ -196,8 +196,9 @@ def test_kk_continuation_of_insulator_data():
         assert got == pytest.approx(float(osc.eval_iw(xi)), rel=1e-2)
 
 
-@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA), Vacuum(), Constant(4.0)],
-                         ids=["plasma", "drude", "vacuum", "constant"])
+@pytest.mark.parametrize("model", [Plasma(WP), Drude(WP, GAMMA), Vacuum(), Constant(4.0),
+                                   DrudeLorentz(1.5, ((2.0, 3e15, 3e14),))],
+                         ids=["plasma", "drude", "vacuum", "constant", "drude_lorentz"])
 def test_scalar_and_array_eval_iw_agree_bit_for_bit(model):
     xi = np.geomspace(1e12, 1e18, 20000)
     scalar = np.array([model.eval_iw(x) for x in xi.tolist()])
@@ -411,3 +412,23 @@ def test_frequencies_are_checked_in_the_base_eval_alone():
         assert np.array_equal(model.eval(freq), model._eval(np.asarray(freq, dtype=complex)))
     with pytest.raises(FrequencyDomainError):
         Plasma(WP).eval(0.0)
+
+
+def test_a_model_that_overrides_eval_alone_is_refused_where_it_is_defined():
+    # the wave kinematics call _eval, which such a model would not reach;
+    # defining it raises a TypeError that names _eval instead
+    with pytest.raises(TypeError, match="_eval"):
+        class _OwnEval(DielectricModel):
+            def eval(self, freq):
+                return np.full_like(np.asarray(freq, dtype=complex), 2.0)
+
+    with pytest.raises(TypeError, match="_eval"):
+        class _OwnDrude(Drude):
+            def eval(self, freq):
+                return super().eval(freq)
+
+    class _NoFormula(DielectricModel):
+        pass
+
+    with pytest.raises(NotImplementedError, match="_NoFormula.*_eval"):
+        _NoFormula().eval(1e15)

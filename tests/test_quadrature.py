@@ -420,8 +420,8 @@ def test_nan_during_bisection_is_a_divergence():
 
 def test_integrate_many_of_a_large_batch_is_the_heap_loop():
     # forty integrals finish over many rounds, the chirps out of budget, so
-    # finished rows build up in the store and it is compacted several times
-    # while the rest run on; each result is the heap loop's, bit for bit
+    # finished rows leave the store many times while the rest run on; each
+    # result is the heap loop's, bit for bit
     cfg = QuadratureConfig(rtol=1e-11, max_subdivisions=45)
     rates = np.linspace(0.5, 40.0, 40)
     funcs = [lambda x, a=a: np.cos(a * x) * np.exp(-x / a) for a in rates]
