@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -400,23 +401,19 @@ def dos_table(cfg: RunConfig):
             for k, rs, rp in zip(ks.tolist(), rho_s, rho_p)]
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
 def write_table(rows, fmt, path):
-    """Write rows as CSV (17 significant digits) or a JSON array, in which
-    a non-finite float (a failed row's NaN) is null."""
+    """Write rows as CSV (floats to 17 significant digits, the value types
+    of the first row in every row) or a JSON array, in which a non-finite
+    float (a failed row's NaN) is null."""
     if not rows:
         raise ValueError("refusing to write an empty table")
     columns = list(rows[0].keys())
     out = Path(path)
     try:
         if fmt == "csv":
-            lines = [",".join(columns)]
-            lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+            line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0].values())
+            values = operator.itemgetter(*columns)
+            lines = [",".join(columns)] + [line % values(row) for row in rows]
             out.write_text("\n".join(lines) + "\n")
         elif fmt == "json":
             rows = [{c: None if isinstance(v, float) and not math.isfinite(v) else v

@@ -100,7 +100,9 @@ class Constant(DielectricModel):
     eps_r: float
 
     def __post_init__(self):
-        if not np.isreal(self.eps_r) or self.eps_r < 1.0:
+        if np.iscomplexobj(self.eps_r) and np.isreal(self.eps_r):
+            object.__setattr__(self, "eps_r", float(np.real(self.eps_r)))
+        if not (np.isreal(self.eps_r) and self.eps_r >= 1.0):
             raise ValueError(f"constant permittivity must be real >= 1, got {self.eps_r}")
 
     _finite_at_zero = True

@@ -183,8 +183,14 @@ def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
             neval[:] += np.bincount(j[idx], minlength=n)
             return kernels.force_integrand_wt(w, prod_s, prod_p)
 
-        values, errors, ok = integrate_many(g, np.tile(_T_EDGES[:-1], (ws.size, 1)),
-                                            np.tile(_T_EDGES[1:], (ws.size, 1)), cfg_t)
+        if r1.constant_amplitudes and r2.constant_amplitudes:
+            # an integrand that does not depend on t integrates over [0, 1]
+            # to its value at any one t, exactly
+            values = g(np.arange(ws.size), np.full(ws.size, 0.5))
+            errors, ok = np.zeros(ws.size), np.ones(ws.size, dtype=bool)
+        else:
+            values, errors, ok = integrate_many(g, np.tile(_T_EDGES[:-1], (ws.size, 1)),
+                                                np.tile(_T_EDGES[1:], (ws.size, 1)), cfg_t)
         weight = ws * ws * ws
         return weight * values, weight * errors, ok
 

@@ -203,8 +203,12 @@ class ReflectionModel:
     broadcasting over ``kin.Q`` and ``kin.q`` of a :class:`WaveKinematics`
     or, from ``imag_axis``, a :class:`_RotatedKinematics`; ``amplitude``, the
     real-axis path and ``casimir dos`` derive from it too.  Instances are
-    immutable and ``pair`` is pure.
+    immutable and ``pair`` is pure.  A model whose amplitudes depend on
+    neither frequency nor Q sets ``constant_amplitudes``; the imaginary-axis
+    path then takes the inner integral of such a pair from one point.
     """
+
+    constant_amplitudes = False
 
     def pair(self, kin: WaveKinematics):
         raise NotImplementedError
@@ -238,6 +242,8 @@ def _shape(kin):
 class PerfectMirror(ReflectionModel):
     """Ideal-mirror limit (eps -> infinity) of the Fresnel amplitudes."""
 
+    constant_amplitudes = True
+
     def pair(self, kin):
         r = np.full(_shape(kin), -1.0)
         return r, r
@@ -250,6 +256,8 @@ class ConstantReflection(ReflectionModel):
 
     r_s: complex
     r_p: complex
+
+    constant_amplitudes = True
 
     def pair(self, kin):
         rs, rp = complex(self.r_s), complex(self.r_p)

@@ -138,6 +138,27 @@ def test_csv_round_trip_preserves_doubles(tmp_path):
     assert back[0]["evals"] == 123
 
 
+def test_csv_rows_are_what_per_value_formatting_wrote(tmp_path):
+    # one "%" string per table, from the first row's value types, writes the
+    # bytes of formatting each value alone: a float to 17 digits, the rest
+    # by str; a failed row's NaN, an int, a str with "%" in it and a table
+    # of one column included
+    def fmt(value):
+        return "%.17g" % value if isinstance(value, float) else str(value)
+
+    rows = [{"L_m": 1e-7, "pressure_Pa": -1.2345678901234567e-3, "evals": 123,
+             "status": "ok"},
+            {"L_m": 1.0 / 3.0, "pressure_Pa": float("nan"), "evals": 0,
+             "status": "failed: PassivityError"},
+            {"L_m": 2.5e-6, "pressure_Pa": -float("inf"), "evals": 10 ** 18,
+             "status": "100% %s"}]
+    out = tmp_path / "t.csv"
+    for table in (rows, [{"k": 0.1}, {"k": float("nan")}]):
+        write_table(table, "csv", out)
+        want = [",".join(table[0])] + [",".join(fmt(v) for v in row.values()) for row in table]
+        assert out.read_text() == "\n".join(want) + "\n"
+
+
 def test_json_output(tmp_path):
     rows = [{"L_m": 1e-7, "pressure_Pa": -0.5, "status": "ok"}]
     out = tmp_path / "t.json"

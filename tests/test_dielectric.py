@@ -185,6 +185,19 @@ def test_constant_eval_at_real_frequency():
     assert Constant(4.0).eval(1e15) == pytest.approx(4.0)
 
 
+def test_constant_takes_a_complex_value_on_the_real_line():
+    # a complex value with zero imaginary part is its real part; any other
+    # complex value is refused as not real, not by a failed comparison, and
+    # NaN, which fails every comparison, is refused too
+    for value in (4 + 0j, np.complex128(4.0)):
+        model = Constant(value)
+        assert model == Constant(4.0) and type(model.eps_r) is float
+        assert model.eval_iw(np.array([1e15])).tolist() == [4.0]
+    for value in (4 + 1e-3j, 0.5 + 0j, float("nan"), complex("nan")):
+        with pytest.raises(ValueError, match="real >= 1"):
+            Constant(value)
+
+
 def test_kk_continuation_of_insulator_data():
     # a single Lorentz oscillator: omega Im eps rises across the first grid
     # points, so the low tail is the linear insulator one, not Drude-type

@@ -1,6 +1,6 @@
 import functools
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from casimir import (
     PerfectMirror,
     Plasma,
     QuadratureConfig,
+    ReflectionModel,
     Tabulated,
     Vacuum,
     WaveKinematics,
@@ -144,6 +145,44 @@ def test_active_amplitudes_rejected():
     hot = ConstantReflection(r_s=1.2, r_p=0.0)
     with pytest.raises(PassivityError):
         force_imag_axis(hot, hot, 1e-6, CFG)
+
+
+@dataclass(frozen=True)
+class _Integrated(ReflectionModel):
+    """A model's amplitudes behind a class that does not declare them
+    constant, so that the imaginary-axis path integrates over t."""
+
+    model: ReflectionModel
+
+    def pair(self, kin):
+        return self.model.pair(kin)
+
+
+@pytest.mark.parametrize("pair", [
+    (PerfectMirror(), PerfectMirror()),
+    (ConstantReflection(0.7, -0.6), ConstantReflection(0.5, -0.8)),
+    (PerfectMirror(), ConstantReflection(-0.9, 0.3)),
+], ids=["mirror", "constant", "mixed"])
+def test_constant_amplitudes_take_the_inner_integral_from_one_point(pair):
+    # a t-independent inner integrand is its own integral over [0, 1]: one
+    # evaluation per outer node where the four starting panels take 60
+    gaps = (5e-8, 1e-6)
+    got = force_imag_axis_many(*pair, gaps, CFG)
+    want = force_imag_axis_many(*(_Integrated(r) for r in pair), gaps, CFG)
+    for a, b in zip(got, want):
+        assert a.pressure == pytest.approx(b.pressure, rel=1e-14, abs=0.0)
+        assert a.converged and b.converged
+        assert 60 * a.neval == b.neval
+
+
+def test_constant_amplitude_pairs_keep_their_checks():
+    # the one-point inner integral runs through the same integrand, with
+    # its passivity and realness checks
+    mirror = PerfectMirror()
+    with pytest.raises(PassivityError):
+        force_imag_axis(ConstantReflection(r_s=0.5, r_p=1.2), mirror, 1e-6, CFG)
+    with pytest.raises(ValueError, match="not real"):
+        force_imag_axis(ConstantReflection(r_s=0.4 + 0.1j, r_p=-0.2), mirror, 1e-6, CFG)
 
 
 @pytest.mark.parametrize("amplitudes", [(0.9, 1.2), (1.5, 1.5)], ids=["mixed", "active"])
@@ -434,9 +473,10 @@ def test_outer_integral_does_not_stop_early_with_a_small_error(rtol):
 
 
 # the evaluations each Drude-gold gap costs at rtol 1e-8; a change that
-# gives back what the starting partitions save shows here
-IMAG_AXIS_NEVAL = {5e-8: 27_840, 2e-7: 23_610, 1e-6: 21_840}
-LIFSHITZ_NEVAL = {5e-8: 37_366, 2e-7: 42_496, 1e-6: 52_486}
+# gives back what the starting partitions save, or what reading the decay
+# check from the first scoring pass saves, shows here
+IMAG_AXIS_NEVAL = {5e-8: 27_360, 2e-7: 23_220, 1e-6: 21_420}
+LIFSHITZ_NEVAL = {5e-8: 35_880, 2e-7: 40_860, 1e-6: 50_610}
 
 
 def test_nested_integrals_pin_their_evaluations():

@@ -227,6 +227,27 @@ def test_lockstep_flags_non_decaying_member():
         integrate_semi_infinite_many(_batch(funcs), np.ones(2), [0.0, 1.0])
 
 
+@pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 0.4, 0.7, 1.0],
+                                   [0.0, 0.3, 0.6, 0.8, 1.0]])
+@pytest.mark.parametrize("tail", [np.ones_like, lambda x: 1.0 / x], ids=["constant", "1/x"])
+def test_decay_check_reads_the_first_scoring_pass(edges, tail):
+    # a constant or 1/x member of a lockstep batch raises from the starting
+    # panels' one call; at scale 260 (edges ending 0.7, 1) and 24000 (0, 1
+    # and 0.8, 1), x (1/x) rounds to 1 - eps at the outermost node alone
+    calls = []
+    funcs = (lambda x: np.exp(-x), tail, lambda x: (1.0 + x) ** -2)
+
+    def f(idx, x):
+        calls.append(x.size)
+        return _batch(funcs)(idx, x)
+
+    for scale in (1.0, 260.0, 24000.0):
+        calls.clear()
+        with pytest.raises(DivergenceError, match="do not decay"):
+            integrate_semi_infinite_many(f, np.full(3, scale), edges)
+        assert calls == [3 * 15 * (len(edges) - 1)]
+
+
 def test_lockstep_flags_non_finite_member():
     funcs = (lambda x: np.exp(-x), lambda x: np.full_like(x, np.nan))
     with pytest.raises(DivergenceError, match="non-finite"):
@@ -258,7 +279,8 @@ def test_semi_infinite_is_integrate_on_the_mapped_integrand():
 def test_semi_infinite_edges_start_integrate_many_from_their_panels():
     # the mapped integrands start from the panels between the u-edges, the
     # (1, m) start of integrate_many, bit for bit; ten panels spend a budget
-    # of ten subdivisions in one scoring pass
+    # of ten subdivisions in one scoring pass, and the decay check reads
+    # that pass rather than calling the integrand on its own
     def f(x):
         return np.cos(20.0 * x) * np.exp(-0.5 * x)
 
@@ -280,7 +302,7 @@ def test_semi_infinite_edges_start_integrate_many_from_their_panels():
         sizes.clear()
         got = integrate_semi_infinite_many(counted, [0.7], edges, cfg)
         assert [x.tolist() for x in got] == [x.tolist() for x in want]
-    assert sizes == [4, 150] and not got[2][0]
+    assert sizes == [150] and not got[2][0]
     for edges in ([0.0, 0.5], [0.1, 1.0], [0.0, 0.6, 0.4, 1.0], [1.0]):
         with pytest.raises(ValueError, match="edges"):
             integrate_semi_infinite_many(counted, [0.7], edges, cfg)
