@@ -40,16 +40,21 @@ _PASSIVITY_SLACK = 1e-9
 _REAL_AXIS_EVALS_PER_NODE = 60_000
 _REAL_AXIS_EVALS = 30_000_000
 # starting partitions of the nested imaginary-axis and Lifshitz integrals,
-# as panel edges in u; each panel counts as one subdivision.  The outer
-# integrals, in x = u/(1-u) (w on the imaginary axis, p - 1 on the Lifshitz
-# path), split at x = 2/3 and 7/3, so that w's rise, its peak near w = 1.5
-# and its tail start on panels of their own.  The inner t-integrals are
-# graded toward t = 0, where the amplitudes turn over fastest.  The inner
+# as panel edges in u, graded where a census of their bisections found the
+# work; each panel counts as one subdivision.  The outer w-integral, in
+# w = u/(1-u), splits at w = 2/3, 7/3 and 17/3, so that w's rise, its peak
+# near w = 1.5 and both halves of its tail (a panel that every integral of
+# the census bisected) start on panels of their own.  The outer p-integral, in p - 1 = u/(1-u),
+# splits at p - 1 = 1, 9 and 99, toward the large p (of order
+# omega_p^2 L / (c gamma)) past which the Drude TE amplitude dies out.  The
+# inner t-integrals are graded toward t = 0, where the amplitudes turn over
+# fastest and the Drude TE amplitude vanishes with xi.  The inner
 # xi-integrals, in xi/scale = u/(1-u), split at 3/7, 1.5 (the peak of
-# xi^3 e^{-2 xi/scale}) and 4
-_OUTER_EDGES = np.array([0.0, 0.4, 0.7, 1.0])
-_T_EDGES = np.array([0.0, 0.01, 0.05, 0.2, 1.0])
-_XI_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 1.0])
+# xi^3 e^{-2 xi/scale}), 4 and 9
+_OUTER_EDGES = np.array([0.0, 0.4, 0.7, 0.85, 1.0])
+_P_EDGES = np.array([0.0, 0.5, 0.9, 0.99, 1.0])
+_T_EDGES = np.array([0.0, 0.001, 0.01, 0.05, 0.2, 1.0])
+_XI_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 1.0])
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,7 @@ def _check_passive(prod, what):
         raise PassivityError(f"|r1 r2| = {m} >= 1 on the {what} grid (active medium)")
 
 
-def _double_integral(inner_many, n, cfg):
+def _double_integral(inner_many, n, cfg, edges):
     """``n`` outer integrals over [0, inf), run in lockstep together with
     the inner integrals of each outer round.
 
@@ -117,7 +122,8 @@ def _double_integral(inner_many, n, cfg):
     the bits it gets alone.  Returns (values, errors, converged) arrays
     with inner errors folded into the estimates.
 
-    Each outer integral starts from the panels of ``_OUTER_EDGES`` in u, and
+    Each outer integral starts from the panels between consecutive
+    ``edges`` in u (``_OUTER_EDGES`` for w, ``_P_EDGES`` for p), and
     ``inner_many`` starts its integrals from ``_T_EDGES`` or ``_XI_EDGES``,
     so that a chance Kronrod-Gauss agreement on one wide panel cannot stop
     an integral early with an error estimate that reads too small, and the
@@ -140,7 +146,7 @@ def _double_integral(inner_many, n, cfg):
         return values
 
     # a spent outer budget keeps its partial sum and marks its row
-    values, errors, ok = integrate_semi_infinite_many(f, np.ones(n), _OUTER_EDGES, cfg)
+    values, errors, ok = integrate_semi_infinite_many(f, np.ones(n), edges, cfg)
     return values, errors + inner_rel * np.abs(values), converged & ok
 
 
@@ -194,7 +200,7 @@ def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
         weight = ws * ws * ws
         return weight * values, weight * errors, ok
 
-    values, errors, ok = _double_integral(inner_many, n, cfg)
+    values, errors, ok = _double_integral(inner_many, n, cfg, _OUTER_EDGES)
     return _results(Ls, lambda L: HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4),
                     values, errors, ok, neval, cfg, "imaginary-axis")
 
@@ -255,7 +261,7 @@ def lifshitz_force_many(eps1: DielectricModel, eps2: DielectricModel,
         weight = np.array([p ** 2 for p in ps.tolist()])
         return weight * values, weight * errors, ok
 
-    values, errors, ok = _double_integral(inner_many, n, cfg)
+    values, errors, ok = _double_integral(inner_many, n, cfg, _P_EDGES)
     # the xi-integral carries dimensions rad^4/s^4; the values are already in SI
     pref = HBAR / (2.0 * math.pi ** 2 * C_LIGHT ** 3)
     return _results(Ls, lambda L: pref, values, errors, ok, neval, cfg, "lifshitz")

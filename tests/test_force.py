@@ -165,14 +165,14 @@ class _Integrated(ReflectionModel):
 ], ids=["mirror", "constant", "mixed"])
 def test_constant_amplitudes_take_the_inner_integral_from_one_point(pair):
     # a t-independent inner integrand is its own integral over [0, 1]: one
-    # evaluation per outer node where the four starting panels take 60
+    # evaluation per outer node where the starting t-panels take 15 each
     gaps = (5e-8, 1e-6)
     got = force_imag_axis_many(*pair, gaps, CFG)
     want = force_imag_axis_many(*(_Integrated(r) for r in pair), gaps, CFG)
     for a, b in zip(got, want):
         assert a.pressure == pytest.approx(b.pressure, rel=1e-14, abs=0.0)
         assert a.converged and b.converged
-        assert 60 * a.neval == b.neval
+        assert 15 * (force_module._T_EDGES.size - 1) * a.neval == b.neval
 
 
 def test_constant_amplitude_pairs_keep_their_checks():
@@ -475,8 +475,8 @@ def test_outer_integral_does_not_stop_early_with_a_small_error(rtol):
 # the evaluations each Drude-gold gap costs at rtol 1e-8; a change that
 # gives back what the starting partitions save, or what reading the decay
 # check from the first scoring pass saves, shows here
-IMAG_AXIS_NEVAL = {5e-8: 27_360, 2e-7: 23_220, 1e-6: 21_420}
-LIFSHITZ_NEVAL = {5e-8: 35_880, 2e-7: 40_860, 1e-6: 50_610}
+IMAG_AXIS_NEVAL = {5e-8: 20_550, 2e-7: 17_490, 1e-6: 15_510}
+LIFSHITZ_NEVAL = {5e-8: 17_190, 2e-7: 30_570, 1e-6: 34_020}
 
 
 def test_nested_integrals_pin_their_evaluations():
@@ -491,6 +491,70 @@ def test_nested_integrals_pin_their_evaluations():
     budget = QuadratureConfig(rtol=1e-12, max_subdivisions=10)
     assert not force_imag_axis(m, m, 1e-7, budget).converged
     assert not lifshitz_force(d, d, Vacuum(), 1e-7, budget).converged
+
+
+# the starting partitions before the census-graded ones: the Lifshitz outer
+# p-integral shared the w-edges
+_OLD_EDGES = {"_OUTER_EDGES": [0.0, 0.4, 0.7, 1.0], "_P_EDGES": [0.0, 0.4, 0.7, 1.0],
+              "_T_EDGES": [0.0, 0.01, 0.05, 0.2, 1.0], "_XI_EDGES": [0.0, 0.3, 0.6, 0.8, 1.0]}
+
+
+def _with_edges(monkeypatch, names, run):
+    """``run()`` with the old starting partitions ``names`` in place."""
+    with monkeypatch.context() as mp:
+        for name in names:
+            mp.setattr(force_module, name, np.array(_OLD_EDGES[name]))
+        return run()
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-8])
+def test_outer_split_removes_only_discarded_work(monkeypatch, rtol):
+    # every imaginary-axis outer integral bisected the old tail panel
+    # [0.7, 1]; starting from its halves gives the same pressures, bit for
+    # bit, without that parent's nodes and their inner integrals
+    metal = FresnelReflection(Drude(WP, GAMMA))
+    film = MultilayerReflection(
+        LayerStack(layers=((2e-8, Drude(WP, GAMMA)),), substrate=Constant(4.0)))
+    pairs = [(PerfectMirror(), PerfectMirror()),
+             (ConstantReflection(0.7, -0.6), ConstantReflection(0.5, -0.8)),
+             (metal, metal), (FresnelReflection(GOLD_TABLE),) * 2, (film, metal)]
+    gaps, cfg = (1e-8, 1e-6, 1e-5), QuadratureConfig(rtol=rtol)
+    for pair in pairs:
+        new = force_imag_axis_many(*pair, gaps, cfg)
+        old = _with_edges(monkeypatch, ["_OUTER_EDGES"],
+                          lambda: force_imag_axis_many(*pair, gaps, cfg))
+        assert [(r.pressure, r.converged) for r in new] == \
+            [(r.pressure, r.converged) for r in old]
+        assert all(a.neval < b.neval for a, b in zip(new, old))
+
+
+def test_graded_partitions_cost_less_and_stay_covered(monkeypatch):
+    # a small census: on both paths, fewer evaluations in all than from the
+    # old partitions, no row changes its converged flag, and each pressure
+    # lies within its own error of an rtol-1e-12 reference
+    models = (Drude(WP, GAMMA), Plasma(WP), Constant(4.0))
+    gaps = (1e-8, 1e-6)
+
+    def census(rtol):
+        cfg = QuadratureConfig(rtol=rtol)
+        rows = []
+        for eps in models:
+            r = FresnelReflection(eps)
+            rows += force_imag_axis_many(r, r, gaps, cfg)
+            rows += lifshitz_force_many(eps, eps, Vacuum(), gaps, cfg)
+        return rows
+
+    refs = census(1e-12)
+    new_total = old_total = 0
+    for rtol in (1e-4, 1e-8):
+        new = census(rtol)
+        old = _with_edges(monkeypatch, list(_OLD_EDGES), lambda: census(rtol))
+        for a, b, ref in zip(new, old, refs):
+            assert a.converged == b.converged
+            assert abs(a.pressure - ref.pressure) <= a.error
+        new_total += sum(r.neval for r in new)
+        old_total += sum(r.neval for r in old)
+    assert new_total < old_total
 
 
 def test_lifshitz_budget_exhaustion_keeps_p_squared_weight():
