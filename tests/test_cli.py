@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -460,6 +463,17 @@ def test_unreadable_yaml_is_a_config_error(tmp_path, capsys, text):
     cfg.write_bytes(text)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     assert "config is not valid YAML" in capsys.readouterr().err
+
+
+def test_parsing_a_tabulated_config_builds_nothing(child_env):
+    # a table's Kramers-Kronig moment sums and interpolant are built on its
+    # first continuation, never while a config is parsed or at import
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "tabulated_gold.yaml")
+    for slab in (cfg.slab1, cfg.slab2):
+        built = vars(slab.dielectric.table)
+        assert "_far_moments" not in built and "_chebyshev" not in built
+    code = "import sys, casimir.cli; assert 'numpy.polynomial' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=child_env(os.environ), check=True)
 
 
 def test_unwritable_output_file_exits_3(tmp_path, capsys):

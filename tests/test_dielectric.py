@@ -274,6 +274,60 @@ def test_kk_continuation_matches_a_40_digit_oracle():
             assert len(excess) == xi.size and max(excess) <= 1e-14
 
 
+def test_kk_continuation_matches_the_oracle_from_near_slices_and_far_moments():
+    # from 1e6 rad/s, where every segment of the tables lies above 10 xi, to
+    # 1e24 rad/s, where every one lies below xi / 10, and on either side of
+    # the points where a node enters or leaves the near slice
+    with mp.workdps(40):
+        for table in _gold_insulator_coarse():
+            n = table.omega.size
+            xi = np.concatenate([np.geomspace(1e6, 1e24, 25),
+                                 _either_side_of_the_slice_edges(table, [n // 2, n - 1])])
+            got = Tabulated(table).eval_iw(xi)
+            oracle = [_kk_oracle(table, x) for x in xi.tolist()]
+            worst = max(abs(float(g / want - 1)) for g, want in zip(got, oracle))
+            assert worst <= 1e-14
+            excess = [abs(float((g - 1) / (want - 1) - 1)) - 2e-15 / float(want - 1)
+                      for g, want in zip(got, oracle) if want - 1 > 1e-8]
+            assert max(excess) <= 1e-14
+
+
+def test_far_moment_sums_match_a_40_digit_oracle():
+    # the doubling scan against the plain running sums, node by node, of
+    # each segment's exact moments: Int Im eps om^(2k+1) d om / w_m^(2k+2)
+    # over the segments below node m, Int Im eps om^(-2k-1) d om w_h^(2k)
+    # over those above node h
+    with mp.workdps(40):
+        for table in _gold_insulator_coarse():
+            w = [mp.mpf(float(v)) for v in table.omega]
+            y = [mp.mpf(float(v)) for v in table.im_eps]
+            below, lo_node, above, hi_node = table._far_moments
+            assert lo_node[0] == 0.0 and hi_node[-1] == np.inf
+            for k in range(len(below)):
+                want_below, want_above = np.zeros(len(w)), np.zeros(len(w))
+                total = mp.mpf(0)
+                for i in range(len(w) - 1):
+                    total += _segment_moment(w, y, i, 2 * k + 1)
+                    want_below[i + 1] = total / w[i + 1] ** (2 * k + 2)
+                total = mp.mpf(0)
+                for i in range(len(w) - 2, -1, -1):
+                    total += _segment_moment(w, y, i, -2 * k - 1)
+                    want_above[i] = total * w[i] ** (2 * k)
+                for got, want in ((below[k], want_below), (above[k], want_above)):
+                    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def _segment_moment(w, y, i, p):
+    """Int Im eps om^p d om over segment i, Im eps linear on it."""
+    b = (y[i + 1] - y[i]) / (w[i + 1] - w[i])
+    a = y[i] - b * w[i]
+
+    def antiderivative(om):
+        return a * (mp.log(om) if p == -1 else om ** (p + 1) / (p + 1)) + b * om ** (p + 2) / (p + 2)
+
+    return antiderivative(w[i + 1]) - antiderivative(w[i])
+
+
 def test_table_interpolant_matches_the_closed_form_or_steps_aside(monkeypatch):
     # inside [1e8, 1e22] rad/s eps(i xi) comes from the table's interpolant,
     # outside it from the closed form itself; a table whose interpolant
@@ -305,18 +359,35 @@ def _reference_t_minus_arctan(t):
 
 
 def _reference_continue_table(table, xi):
-    """The closed-form continuation written as plain array expressions,
-    without the in-place buffers or the skipped arctan pass."""
+    """The split continuation written as plain expressions, one xi at a
+    time: the closed form on the segments within a factor 10 of xi, the
+    table's moment sums for the others; without the in-place buffers, the
+    flat (xi, segment) rows or the skipped arctan pass."""
+    moments = table._far_moments
+    return np.concatenate([_reference_continue_one(table, moments, xi[i:i + 1])
+                           for i in range(xi.size)])
+
+
+def _reference_continue_one(table, moments, xi):
     w, y = table.omega, table.im_eps
-    x = xi[:, None]
-    x2 = x * x
-    w0, w1 = w[:-1], w[1:]
-    dw = w1 - w0
-    ww = w0 * w1
-    den = x2 + ww
-    j0 = 0.5 * np.log1p(dw * (w1 + w0) / (w0 * w0 + x2))
-    j1 = dw * ww / den + x * _reference_t_minus_arctan(x * dw / den)
-    main = np.add.reduce((y[:-1] * (w1 * j0 - j1) + y[1:] * (j1 - w0 * j0)) / dw, axis=1)
+    below, lo_node, above, hi_node = moments
+    # segments [0, m) lie below xi / 10, [h, N) above 10 xi
+    m = max(np.searchsorted(w, 0.1 * xi[0], side="right") - 1, 0)
+    h = min(np.searchsorted(w, xi[0] / 0.1), w.size - 1)
+    r2, s2 = (lo_node[m] / xi) ** 2, (xi / hi_node[h]) ** 2
+    p = u = 0.0
+    for k in range(len(below) - 1, -1, -1):
+        p = below[k, m] - r2 * p
+        u = above[k, h] - s2 * u
+    main = r2 * p + u
+    if h > m:
+        w0, w1, y0, y1 = w[m:h], w[m + 1:h + 1], y[m:h], y[m + 1:h + 1]
+        dw = w1 - w0
+        ww = w0 * w1
+        den = xi * xi + ww
+        j0 = 0.5 * np.log1p(dw * (w1 + w0) / (w0 * w0 + xi * xi))
+        j1 = dw * ww / den + xi * _reference_t_minus_arctan(xi * dw / den)
+        main = main + np.add.reduceat((y0 * (w1 * j0 - j1) + y1 * (j1 - w0 * j0)) / dw, [0])
     y1w1, y2w2 = y[0] * w[0], y[1] * w[1]
     low = 0.0
     b2 = 0.0
@@ -354,15 +425,51 @@ def _gold_insulator_coarse():
 def test_continue_table_is_the_plain_expression_bit_for_bit():
     from casimir import dielectric
     gold, insulator, coarse = _gold_insulator_coarse()
-    xi = np.exp(np.random.default_rng(5).uniform(np.log(1e6), np.log(1e24), 20000))
+    xi = np.exp(np.random.default_rng(5).uniform(np.log(1e6), np.log(1e24), 2000))
+    # the coarse table's near slices reach the arctan branch
     cw = coarse.omega
     t = xi[:, None] * np.diff(cw) / (xi[:, None] ** 2 + cw[:-1] * cw[1:])
-    assert t.max() > 0.1
+    near = (cw[1:] > 0.1 * xi[:, None]) & (cw[:-1] < xi[:, None] / 0.1)
+    assert t[near].max() > 0.1
     for table in (gold, insulator, coarse):
-        # in chunks, to keep the (xi, segment) arrays small
-        for part in np.split(xi, 10):
-            got = dielectric._continue_table(table, part)
-            assert got.tobytes() == _reference_continue_table(table, part).tobytes()
+        got = dielectric._continue_table(table, xi)
+        assert got.tobytes() == _reference_continue_table(table, xi).tobytes()
+
+
+def _either_side_of_the_slice_edges(table, nodes=slice(None)):
+    """xi within 4 ulp of each point where a node of the table crosses
+    xi / 10 or 10 xi, so that a segment enters or leaves its near slice."""
+    edges = np.concatenate([table.omega[nodes] / 0.1, table.omega[nodes] * 0.1])
+    return (edges[:, None] * (1.0 + np.array([-4.0, -1.0, 0.0, 1.0, 4.0]) * 2.0 ** -52)).ravel()
+
+
+def test_each_xi_gets_the_bits_it_gets_alone():
+    # the near slice of a xi depends on xi alone, never on the other xi of
+    # the call or their order, so a call equals its one-xi calls bit for bit
+    from casimir import dielectric
+    rng = np.random.default_rng(11)
+    for table in _gold_insulator_coarse():
+        xi = rng.permutation(np.concatenate([_either_side_of_the_slice_edges(table),
+                                             np.geomspace(1e6, 1e24, 200)]))
+        alone = [dielectric._continue_table(table, xi[i:i + 1]) for i in range(xi.size)]
+        assert dielectric._continue_table(table, xi).tobytes() == np.concatenate(alone).tobytes()
+
+
+def test_the_gold_build_integrates_few_terms_in_closed_form(monkeypatch):
+    # the interpolant's 1,344 continuations take the closed form only on
+    # their near slices: at most 60,000 (xi, segment) terms, against
+    # 321,216 for every segment of every xi
+    from casimir import dielectric
+    terms = []
+    near = dielectric._near_sums
+
+    def counted(w, y, x, s, starts):
+        terms.append(x.size)
+        return near(w, y, x, s, starts)
+
+    monkeypatch.setattr(dielectric, "_near_sums", counted)
+    assert _gold_insulator_coarse()[0]._chebyshev is not None
+    assert 0 < sum(terms) <= 60_000
 
 
 def _reference_clenshaw(coef, x):
@@ -383,10 +490,10 @@ def test_clenshaw_is_the_plain_recurrence_bit_for_bit():
 
 
 def test_blocked_interpolant_build_is_the_single_pass_build_bit_for_bit(monkeypatch):
-    # _continue_table works through xi in row blocks (17 for gold, 15 for
-    # the insulator, 1 for the coarse table); the interpolant built from it
-    # equals one built from a single (xi, segment) pass, and passes or
-    # fails its check alike
+    # _continue_table works through the near slices of its xi in blocks;
+    # the interpolant built from it equals one built from the plain
+    # expression evaluated one xi at a time, and passes or fails its check
+    # alike
     from casimir import dielectric
     mid, half = dielectric._CHEB_MID[:, None], dielectric._CHEB_HALF[:, None]
     n = dielectric._CHEB_N
