@@ -40,20 +40,22 @@ _PASSIVITY_SLACK = 1e-9
 _REAL_AXIS_EVALS_PER_NODE = 60_000
 _REAL_AXIS_EVALS = 30_000_000
 # starting partitions of the nested imaginary-axis and Lifshitz integrals,
-# as panel edges in u, graded where a census of their bisections found the
-# work; each panel counts as one subdivision.  The outer w-integral, in
+# as panel edges in u, graded where a census of their work found it; each
+# panel counts as one subdivision.  The outer w-integral, in
 # w = u/(1-u), splits at w = 2/3, 7/3 and 17/3, so that w's rise, its peak
 # near w = 1.5 and both halves of its tail (a panel that every integral of
-# the census bisected) start on panels of their own.  The outer p-integral, in p - 1 = u/(1-u),
-# splits at p - 1 = 1, 9 and 99, toward the large p (of order
-# omega_p^2 L / (c gamma)) past which the Drude TE amplitude dies out.  The
-# inner t-integrals are graded toward t = 0, where the amplitudes turn over
-# fastest and the Drude TE amplitude vanishes with xi.  The inner
-# xi-integrals, in xi/scale = u/(1-u), split at 3/7, 1.5 (the peak of
-# xi^3 e^{-2 xi/scale}), 4 and 9
+# the census bisected) start on panels of their own.  The outer p-integral
+# runs in p = (1 + x)^2 = 1/(1-u)^2, x = u/(1-u), so that the knee near
+# p = omega_p^2 L / (c gamma), past which the Drude TE amplitude dies out,
+# lies inside the domain and not against u = 1; it splits at p = 4, 25 and
+# 1111.  The inner t-integrals run in t = v^2, which spreads over v the
+# turn of the amplitudes near t = 0, where the Drude TE amplitude vanishes
+# with xi, and split at v = 0.05 and 0.25.  The inner xi-integrals, in
+# xi/scale = u/(1-u), split at 3/7, 1.5 (the peak of xi^3 e^{-2 xi/scale}),
+# 4 and 9
 _OUTER_EDGES = np.array([0.0, 0.4, 0.7, 0.85, 1.0])
-_P_EDGES = np.array([0.0, 0.5, 0.9, 0.99, 1.0])
-_T_EDGES = np.array([0.0, 0.001, 0.01, 0.05, 0.2, 1.0])
+_P_EDGES = np.array([0.0, 0.5, 0.8, 0.97, 1.0])
+_V_EDGES = np.array([0.0, 0.05, 0.25, 1.0])
 _XI_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 1.0])
 
 
@@ -86,6 +88,19 @@ def _gaps(Ls):
                          "ideal-mirror pressure normal floats (about 1.2e-77 m to "
                          f"1.55e70 m), in a non-empty 1-D sequence; got {Ls}")
     return Ls
+
+
+def _p_variable(xs):
+    """p = (1 + x)^2 at the Lifshitz outer nodes x = u/(1-u), and the weight
+    p^2 dp/dx = 2 (1 + x)^5; products, so each node's bits fit any batch."""
+    a = 1.0 + xs
+    p = a * a
+    return p, (2.0 * a) * (p * p)
+
+
+def _t_variable(vs):
+    """t = v^2 of the imaginary-axis inner integrals, and dt/dv = 2v."""
+    return vs * vs, 2.0 * vs
 
 
 def ideal_casimir_pressure(L: float) -> float:
@@ -124,7 +139,7 @@ def _double_integral(inner_many, n, cfg, edges):
 
     Each outer integral starts from the panels between consecutive
     ``edges`` in u (``_OUTER_EDGES`` for w, ``_P_EDGES`` for p), and
-    ``inner_many`` starts its integrals from ``_T_EDGES`` or ``_XI_EDGES``,
+    ``inner_many`` starts its integrals from ``_V_EDGES`` or ``_XI_EDGES``,
     so that a chance Kronrod-Gauss agreement on one wide panel cannot stop
     an integral early with an error estimate that reads too small, and the
     known structure costs no bisections; starting panels count against
@@ -174,7 +189,7 @@ def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
     neval = np.zeros(n, dtype=np.int64)
 
     # xi = w t c / L and Q = w sqrt(1 - t^2) / L; the w^3 dw weight
-    # multiplies the inner integrals
+    # multiplies the inner integrals, which run in t = v^2, dt = 2v dv
     def inner_many(j, ws, cfg_t):
         def g(idx, t):
             w, gap = ws[idx], Ls[j[idx]]
@@ -195,8 +210,12 @@ def force_imag_axis_many(r1: ReflectionModel, r2: ReflectionModel, Ls,
             values = g(np.arange(ws.size), np.full(ws.size, 0.5))
             errors, ok = np.zeros(ws.size), np.ones(ws.size, dtype=bool)
         else:
-            values, errors, ok = integrate_many(g, np.tile(_T_EDGES[:-1], (ws.size, 1)),
-                                                np.tile(_T_EDGES[1:], (ws.size, 1)), cfg_t)
+            def h(idx, v):
+                t, dt_dv = _t_variable(v)
+                return g(idx, t) * dt_dv
+
+            values, errors, ok = integrate_many(h, np.tile(_V_EDGES[:-1], (ws.size, 1)),
+                                                np.tile(_V_EDGES[1:], (ws.size, 1)), cfg_t)
         weight = ws * ws * ws
         return weight * values, weight * errors, ok
 
@@ -240,9 +259,9 @@ def lifshitz_force_many(eps1: DielectricModel, eps2: DielectricModel,
     neval = np.zeros(n, dtype=np.int64)
     L_over_c = Ls / C_LIGHT
 
-    # p = 1 + t; the p^2 dp weight multiplies the inner integrals
-    def inner_many(j, ts, cfg_t):
-        ps = 1.0 + ts
+    # p = (1 + x)^2; the p^2 dp/dx weight multiplies the inner integrals
+    def inner_many(j, xs, cfg_t):
+        ps, weight = _p_variable(xs)
         gap = Ls[j]
 
         def g(idx, xi):
@@ -256,9 +275,6 @@ def lifshitz_force_many(eps1: DielectricModel, eps2: DielectricModel,
         # decay scale of e^{-2 xi p sqrt(eps3) L/c} in xi
         values, errors, ok = integrate_semi_infinite_many(g, C_LIGHT / (ps * gap), _XI_EDGES,
                                                           cfg_t)
-        # Python float pow: numpy's ** 2 is p*p, which differs from it in the
-        # last bit for some p and would change the output bytes
-        weight = np.array([p ** 2 for p in ps.tolist()])
         return weight * values, weight * errors, ok
 
     values, errors, ok = _double_integral(inner_many, n, cfg, _P_EDGES)

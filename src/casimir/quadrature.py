@@ -201,7 +201,7 @@ def integrate_semi_infinite_many(f, scales, edges, cfg=None):
     # the starting panels integrand by integrand, so each integrand's last
     # four values lie at the outermost Kronrod nodes of its last panel
     # (x = 51..1560 scale for edges 0.85, 1, 76..2340 for 0.9, 1 and
-    # 770..23400 for 0.99, 1), where |x f(x)| must fall; a few ulps of slack
+    # 257..7800 for 0.97, 1), where |x f(x)| must fall; a few ulps of slack
     # keep 1/x from passing on rounding
     def g(idx, u):
         nonlocal checked

@@ -232,9 +232,9 @@ def test_lockstep_flags_non_decaying_member():
 @pytest.mark.parametrize("tail", ["constant", "1/x"])
 def test_decay_check_reads_the_first_scoring_pass(edges, tail):
     # a constant or 1/x member of a lockstep batch raises from the starting
-    # panels' one call; at scale 26 (edges 0, 1 and the xi-edges) and 125
-    # (the w- and p-edges), x (1/x) rounds to 1 - eps at the outermost node
-    # alone
+    # panels' one call; at scale 26 (edges 0, 1 and the xi-edges), 125 (the
+    # w-edges) and 1 (the p-edges), x (1/x) rounds to 1 - eps at the
+    # outermost node alone
     calls, falls = [], []
     fn = np.ones_like if tail == "constant" else lambda x: 1.0 / x
     funcs = (lambda x: np.exp(-x), fn, lambda x: (1.0 + x) ** -2)
