@@ -472,6 +472,10 @@ class Tabulated(DielectricModel):
         om = np.real(freq)
         if np.all(om == 0.0):
             return np.asarray(self.eval_iw(np.imag(freq)), dtype=complex)
+        if np.any(np.imag(freq) != 0.0):
+            raise FrequencyDomainError(
+                "tabulated permittivity has no continuation off the real and "
+                "imaginary axes")
         if self.table.re_eps is None:
             raise FrequencyDomainError(
                 "tabulated model without a Re eps column cannot be evaluated "

@@ -7,7 +7,8 @@ Three routes are provided:
   integrand),
 * ``force_real_axis`` - the same physics integrated literally along the
   real-frequency contour (evanescent segment k = is, s: Q -> 0, then
-  propagating k: 0 -> inf); a validation path for dissipative media,
+  propagating k: 0 -> K, with the oscillatory tail past K tilted to
+  K -> K + i inf); a validation path for dissipative media,
 * ``lifshitz_force`` - the classical semi-infinite-slab formula in the
   (p, xi) variables, an independent oracle sharing only the quadrature
   engine with the paths above.
@@ -36,7 +37,8 @@ from .reflection import ReflectionModel, WaveKinematics
 _PASSIVITY_SLACK = 1e-9
 # real-axis budget: an outer round (the Q'L = 1 seed is a round of one node)
 # may average this many integrand evaluations per Q' node, and a call spend
-# this many in all; a Drude pair needs up to 40 k per node and 18 M in all
+# this many in all; a Drude pair at 10 nm to 10 um and rtol 1e-3 to 1e-5
+# needs up to 3.5 k per node and 0.53 M in all
 _REAL_AXIS_EVALS_PER_NODE = 60_000
 _REAL_AXIS_EVALS = 30_000_000
 # starting partitions of the nested imaginary-axis and Lifshitz integrals,
@@ -302,9 +304,12 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
 
     For each Q the k-integral runs from iQ to 0 (evanescent segment,
     parametrized k = i Q sin(phi) so the q = sqrt(Q^2 - s^2) endpoint
-    singularity drops out) and then 0 -> infinity (propagating segment,
-    truncated octave by octave once the oscillatory tail stops
-    contributing).  The outer Q' integral runs adaptively from a coarse
+    singularity drops out), then 0 -> K along real k (propagating bulk,
+    K = max(4 Q'L, 8)/L) and then K -> K + i infinity (the oscillatory
+    tail, turned into the upper half-plane, where the amplitudes are
+    analytic and e^{2ikL} decays); a round trip |r1 r2| that does not
+    fall along real k past K is refused, as its tail converges only as
+    an Abel sum.  The outer Q' integral runs adaptively from a coarse
     grid, and the k-integrals of every Q' node of one outer round run in
     lockstep.  Past an evaluation budget (``_REAL_AXIS_EVALS_PER_NODE`` per
     Q' node of an outer round, ``_REAL_AXIS_EVALS`` in all) it raises
@@ -348,34 +353,18 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
                 f"node of an outer round, {_REAL_AXIS_EVALS} in all)")
         return out
 
-    def envelope(Qp, k):
-        """Bound on |integral| of each oscillatory chunk [k, 2k], from the
-        slowly varying round-trip amplitude alone (integration by parts in
-        the e^{2ik} phase); inf where the bound is not usable.  Every node
-        comes here, at real k, where passive media keep |r1 r2| <= 1."""
-        kp = np.stack((k, np.sqrt(k * (2.0 * k)), 2.0 * k), axis=1).ravel()
-        Qp = np.repeat(Qp, 3)
-        q = np.sqrt(Qp * Qp + kp * kp)
-        prod_s, prod_p = products(Qp, q, kp)
-        _check_passive(prod_s, "propagating k")
-        _check_passive(prod_p, "propagating k")
-        rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(-1, 3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = np.max((kp * kp / q).reshape(-1, 3) * rho / (1.0 - rho), axis=1)
-        return np.where(np.any(rho > 0.5, axis=1), np.inf, bound)
-
     def inner_many(us, floor):
         """The k-integrals at the outer nodes ``us``, all in lockstep.
 
         The evanescent segment runs on the relative ``seg_cfg``.  The
-        propagating bulk and tail cancel almost completely at large Q', so
-        they run on the absolute tolerance ``floor``, never on a tolerance
-        relative to their own (possibly huge) values.  A zero floor is
-        bootstrapped from a rough pass.  Returns (values,
-        errors, ok, octaves): the first three with one entry per node,
-        ``ok[i]`` False where the evanescent segment ran out of budget or
-        the oscillatory tail did not settle; ``octaves`` one array per
-        integrated octave, holding the contributions of the nodes live in it.
+        propagating bulk [0, K] and the tail past it cancel almost
+        completely at large Q', so they run on the absolute tolerance
+        ``floor``, never on a tolerance relative to their own (possibly
+        huge) values.  A zero floor is bootstrapped from a rough pass.
+        Returns (values, errors, ok, parts), one entry per node each:
+        ``ok[i]`` False where a segment ran out of subdivisions or |r1 r2|
+        does not fall along real k; ``parts`` the evanescent, bulk and
+        tail values.
         """
         def evanescent(idx, phi):
             # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
@@ -384,67 +373,60 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             b = round_trips(Qp, Qp * np.cos(phi), 1j * s, np.exp(-2.0 * s))
             return -s * s * b.imag
 
-        def propagating(idx, kp):
+        def integrand(idx, kp):
+            """(k^2/q) Sum_pol g/(1-g) at the nodes' real or complex k."""
             Qp = us[idx]
             q = np.sqrt(Qp * Qp + kp * kp)
-            b = round_trips(Qp, q, kp, np.exp(2j * kp))
-            return (kp * kp / q) * b.real
+            return (kp * kp / q) * round_trips(Qp, q, kp, np.exp(2j * kp))
+
+        def propagating(idx, kp):
+            return integrand(idx, kp).real
+
+        def tail(idx, y):
+            # r1 r2 is analytic for Im k > 0, where e^{2ik} decays, so
+            # Re Int_K^inf dk = Re i Int_0^inf dy at k = K + iy
+            return -integrand(idx, K[idx] + 1j * y).imag
 
         n = us.size
         ev, ev_err, ok = integrate_many(evanescent, np.zeros(n),
                                         np.full(n, 0.5 * np.pi), seg_cfg)
-        k = np.maximum(4.0 * us, 8.0)
+        K = np.maximum(4.0 * us, 8.0)
+        # |r1 r2| at real k past K: at most 1 for a passive pair, and it
+        # must fall, for on the tilted line even a constant amplitude would
+        # decay into an Abel sum of a contour that does not converge
+        kp = (K[:, None] * np.array([1.0, 2.0, 4.0, 8.0])).ravel()
+        Qp = np.repeat(us, 4)
+        prod_s, prod_p = products(Qp, np.sqrt(Qp * Qp + kp * kp), kp)
+        _check_passive(prod_s, "propagating k")
+        _check_passive(prod_p, "propagating k")
+        rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(n, 4)
+        ok &= (rho[:, -1] < rho[:, 0]) | (rho[:, -1] == 0.0)
         if not floor > 0.0:
-            rough, _, _ = integrate_many(propagating, np.zeros(n), k,
+            rough, _, _ = integrate_many(propagating, np.zeros(n), K,
                                          replace(seg_cfg, rtol=1e-3))
             floor = float(np.min((np.abs(rough) + np.abs(ev)) * target * 0.05))
         abs_cfg = replace(seg_cfg, atol=floor, rtol=1e-5,
                           max_subdivisions=min(cfg.max_subdivisions, 1200))
-        # a spent budget in a propagating piece keeps its partial sum
-        total, err, _ = integrate_many(propagating, np.zeros(n), k, abs_cfg)
-        # atol only: individual octaves are O(1) and cancel in the sum,
-        # so a relative exit criterion would leave errors far above floor
-        oc_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
-        tail = np.zeros(n)
-        prev_bound = np.full(n, np.inf)
-        octaves = []
-        live = np.arange(n)
-        for octave in range(24):
-            bound = envelope(us[live], k[live])
-            # remaining octaves bounded by a ~1/k^2 geometric envelope
-            settled = bound < floor
-            # non-decaying round trip (e.g. constant r): the oscillatory
-            # tail is at best Abel-summable, never absolutely convergent
-            stalled = (octave >= 3) & (bound > floor) & ~(bound < prev_bound[live])
-            tail[live[settled]] = 1.5 * bound[settled]
-            tail[live[stalled]] = bound[stalled]
-            ok[live[stalled]] = False
-            prev_bound[live] = bound
-            live = live[~settled & ~stalled]
-            if not live.size:
-                break
-            v, e, _ = integrate_many(lambda j, kp: propagating(live[j], kp),
-                                     k[live], 2.0 * k[live], oc_cfg)
-            total[live] += v
-            err[live] += e
-            octaves.append(v)
-            k[live] *= 2.0
-        else:
-            # still oscillating after 24 octaves: the last one bounds the rest
-            tail[live] = np.abs(v)
-            ok[live] = False
-        return total + ev, err + ev_err + tail, ok, octaves
+        # a spent budget keeps its partial sum and marks its node
+        bulk, bulk_err, bulk_ok = integrate_many(propagating, np.zeros(n), K, abs_cfg)
+        # atol only: bulk and tail are O(1) and cancel in the sum, so a
+        # relative exit criterion would leave errors far above floor
+        tail_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
+        tl, tl_err, tl_ok = integrate_semi_infinite_many(tail, np.full(n, 0.5),
+                                                         [0.0, 0.5, 1.0], tail_cfg)
+        return (bulk + tl + ev, bulk_err + tl_err + ev_err, ok & bulk_ok & tl_ok,
+                (ev, bulk, tl))
 
     # seed the magnitude of the inner integrals near the peak so every
     # later one gets a meaningful absolute floor; a failure here means the
     # whole contour is hopeless, so it propagates to the caller
-    v0, e0, ok0, octaves0 = inner_many(np.array([1.0]), 0.0)
+    v0, e0, ok0, parts0 = inner_many(np.array([1.0]), 0.0)
     if not ok0[0]:
         raise ConvergenceError(
             "the real-frequency contour does not converge for this model: at "
-            "Q'L = 1 the evanescent segment ran out of budget or the "
-            "propagating tail did not settle",
-            value=v0[0], error=e0[0], partial_sums=[float(v[0]) for v in octaves0])
+            "Q'L = 1 a segment ran out of subdivisions or |r1 r2| does not "
+            "fall along the propagating k",
+            value=v0[0], error=e0[0], partial_sums=[float(v[0]) for v in parts0])
     scale = abs(float(v0[0]))
     inner_rel = 0.0
     converged = True
@@ -461,9 +443,10 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         return us * values
 
     # adaptive in Q' from a coarse grid, whose first round resolves the
-    # peak near Q'L = 1 and the exponential tail
-    q_max = max(8.0, 0.5 * math.log(10.0 / target))
-    edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, q_max])
+    # peak near Q'L = 1 and the exponential tail; past Q' = 12 the outer
+    # integrand falls as about Q'^3 e^{-2Q'}, some 1e-8 of the pressure,
+    # below a hundredth of the tightest target, 1e-6
+    edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 12.0])
     vals, errs, ok = integrate_many(
         f, edges[None, :-1], edges[None, 1:],
         QuadratureConfig(rtol=target, max_subdivisions=cfg.max_subdivisions))

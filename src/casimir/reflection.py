@@ -60,15 +60,19 @@ class WaveKinematics:
 
     @classmethod
     def real_axis(cls, Q, q, k):
-        """On the real frequency axis, from real ``q = omega/c > 0`` and the
-        caller's own ``k`` with k^2 = q^2 - Q^2 (i s, s > 0, where the wave
-        is evanescent; real and positive where it propagates), as a contour
-        parametrization knows it exactly.  ``freq = c q`` stays real for
-        the permittivity formulas; ``q`` and ``k`` are cast to complex here
-        once rather than in every mixed operation of a ``pair``."""
+        """On and above the real frequency axis, from ``q = omega/c`` with
+        Re q > 0 and Im q >= 0 and the caller's own ``k`` with
+        k^2 = q^2 - Q^2 (i s, s > 0, where the wave is evanescent; real
+        and positive where it propagates; on the outgoing branch above the
+        axis), as a contour parametrization knows it exactly.  For real
+        ``q`` the frequency ``freq = c q`` stays real for the permittivity
+        formulas, which continue analytically above the axis; ``q`` and
+        ``k`` are cast to complex here once rather than in every mixed
+        operation of a ``pair``."""
         q, Q = np.asarray(q), np.asarray(Q, dtype=float)
-        if q.dtype.kind == "c" or not (q > 0.0).all():
-            raise FrequencyDomainError("real-axis frequencies must be real and positive")
+        if not ((q.real > 0.0) & (q.imag >= 0.0)).all():
+            raise FrequencyDomainError(
+                "real-axis frequencies must have Re omega > 0 and Im omega >= 0")
         if (Q < 0.0).any():
             raise ValueError("Q must be >= 0")
         return cls(Q=Q, freq=C_LIGHT * q, q=q.astype(complex),

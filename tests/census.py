@@ -1,17 +1,19 @@
-"""Accuracy census of the nested imaginary-axis and Lifshitz paths.
+"""Accuracy census of the nested imaginary-axis and Lifshitz paths and of
+the real-axis contour.
 
 A row is one force call: a pair of slabs, a path, a gap and a relative
 tolerance.  Its reference is the other path at rtol 1e-12 where that path
 can express the pair (two slabs of one Fresnel medium), else the same path
-at rtol 1e-12.  A row is covered when its error is at least its deviation
-from the reference.
+at rtol 1e-12; a real-axis row's reference is the imaginary axis at rtol
+1e-12.  A row is covered when its error is at least its deviation from
+the reference.
 
 Run as a script, it prints per path and rtol the evaluations, rows, rows
 covered, converged rows, rows within rtol of their reference, the worst
 (smallest) and the median error/deviation and the wall time, as JSON:
 
     PYTHONPATH=src python tests/census.py            # the full census
-    PYTHONPATH=src python tests/census.py --slice    # the Tier-1 slice
+    PYTHONPATH=src python tests/census.py --slice    # the Tier-1 rows
     PYTHONPATH=src python tests/census.py --rows     # also every row
 """
 
@@ -36,6 +38,7 @@ from casimir import (
     Tabulated,
     Vacuum,
     force_imag_axis_many,
+    force_real_axis,
     lifshitz_force_many,
     load_optical_table,
 )
@@ -48,6 +51,10 @@ GAPS = (1e-8, 5e-8, 2e-7, 1e-6, 1e-5)
 RTOLS = (1e-4, 1e-6, 1e-8, 1e-10)
 SLICE_GAPS = (1e-8, 1e-6)
 SLICE_RTOLS = (1e-4, 1e-6, 1e-8)
+# the real-axis rows, (gap, rtol), all Tier-1: Drude(1e16, 1e14) slabs
+REAL_AXIS_DRUDE = (1e16, 1e14)
+REAL_AXIS_ROWS = ((1e-8, 1e-3), (2e-8, 1e-3), (4e-8, 1e-3), (5e-7, 1e-3),
+                  (1e-8, 1e-5), (2e-8, 1e-5), (4e-8, 1e-5))
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,24 @@ def census(full=True):
     return rows, wall
 
 
+def real_axis_census():
+    """The real-axis rows of ``REAL_AXIS_ROWS``, and the wall time each rtol
+    spent on them, excluding references."""
+    r = FresnelReflection(Drude(*REAL_AXIS_DRUDE))
+    gaps = sorted({L for L, _ in REAL_AXIS_ROWS})
+    refs = force_imag_axis_many(r, r, gaps, QuadratureConfig(rtol=REFERENCE_RTOL))
+    refs = {L: ref.pressure for L, ref in zip(gaps, refs)}
+    rows, wall = [], {}
+    for L, rtol in REAL_AXIS_ROWS:
+        start = time.perf_counter()
+        res = force_real_axis(r, r, L, QuadratureConfig(rtol=rtol))
+        key = "real-axis", rtol
+        wall[key] = wall.get(key, 0.0) + time.perf_counter() - start
+        rows.append(Row("drude-1e16-1e14", "real-axis", L, rtol, res.pressure, res.error,
+                        res.neval, res.converged, refs[L]))
+    return rows, wall
+
+
 def totals(rows, wall):
     """Per path and rtol: the sums and extremes the module docstring names."""
     out = {}
@@ -156,10 +181,13 @@ def totals(rows, wall):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--slice", action="store_true", help="the Tier-1 slice alone")
+    parser.add_argument("--slice", action="store_true",
+                        help="the Tier-1 slice and the real-axis rows alone")
     parser.add_argument("--rows", action="store_true", help="also print every row")
     args = parser.parse_args(argv)
     rows, wall = census(full=not args.slice)
+    real_rows, real_wall = real_axis_census()
+    rows, wall = rows + real_rows, {**wall, **real_wall}
     report = {"totals": totals(rows, wall)}
     if args.rows:
         report["rows"] = [{**vars(r), "deviation": r.deviation} for r in rows]

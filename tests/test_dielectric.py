@@ -181,6 +181,19 @@ def test_tabulated_without_re_column_rejects_real_axis():
         model.eval(1.5e15)
 
 
+def test_tabulated_refuses_frequencies_off_both_axes():
+    # the unchecked formula, which the real-axis kinematics call, refuses a
+    # frequency above the real axis rather than read its real part alone
+    omega = np.geomspace(1e13, 1e17, 50)
+    eps = Drude(WP, GAMMA).eval(omega)
+    model = Tabulated(OpticalTable(omega=omega, im_eps=eps.imag, re_eps=eps.real))
+    for freq in ([1e15 + 1e12j], [1e15, 2e15 + 1e-3j], [1e15, 1e15j]):
+        with pytest.raises(FrequencyDomainError, match="off the real and imaginary axes"):
+            model._eval(np.array(freq))
+    np.testing.assert_array_equal(model._eval(np.array([1e15 + 0j])),
+                                  model._eval(np.array([1e15])))
+
+
 def test_constant_eval_at_real_frequency():
     assert Constant(4.0).eval(1e15) == pytest.approx(4.0)
 

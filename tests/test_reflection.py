@@ -201,12 +201,35 @@ def test_real_axis_kinematics_match_amplitude_for_every_model():
 
 
 def test_real_axis_kinematics_refuse_frequencies_off_the_real_axis():
+    # on and above the real axis only: Re q > 0 and Im q >= 0; NaN fails
     Q, k = np.array([1e6, 1e6]), np.array([1e6, 1e6])
-    for q in ([2e6, 0.0], [2e6, -1e6], [np.nan, 2e6], [2e6 + 0j, 2e6]):
-        with pytest.raises(FrequencyDomainError, match="real and positive"):
+    for q in ([2e6, 0.0], [2e6, -1e6], [np.nan, 2e6], [2e6, 2e6 - 1e3j],
+              [2e6, -2e6 + 1e3j], [2e6, 1e3j], [2e6, complex(np.nan, 1.0)]):
+        with pytest.raises(FrequencyDomainError, match="Re omega > 0 and Im omega >= 0"):
             WaveKinematics.real_axis(Q, np.array(q), k)
     with pytest.raises(ValueError, match="Q must be >= 0"):
         WaveKinematics.real_axis(np.array([-1.0, 1e6]), np.array([2e6, 2e6]), k)
+
+
+def test_real_axis_kinematics_continue_above_the_real_axis():
+    # complex q with Im q >= 0, as on the tilted tail k = K + iy of the
+    # real-axis contour, gives complex freq = c q and the amplitudes of the
+    # permittivity formulas continued there; real q keeps freq real
+    Q = np.full(3, 2e7)
+    k = 8e7 + 1j * np.array([0.0, 1e6, 3e7])
+    q = np.sqrt(Q * Q + k * k)
+    kin = WaveKinematics.real_axis(Q, q, k)
+    assert kin.freq.dtype == complex
+    np.testing.assert_array_equal(kin.freq, C_LIGHT * q)
+    assert WaveKinematics.real_axis(Q, q.real, k.real).freq.dtype == float
+    for medium in (Drude(WP, GAMMA), Plasma(WP), Constant(4.0), Vacuum(),
+                   DrudeLorentz(1.5, ((2.0, 3e15, 3e14),))):
+        eps = medium._eval(C_LIGHT * q)
+        k_a = np.sqrt(eps * q * q - Q * Q)
+        rs, rp = FresnelReflection(medium).pair(kin)
+        np.testing.assert_allclose(rs, (k - k_a) / (k + k_a), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(rp, (k_a - eps * k) / (k_a + eps * k),
+                                   rtol=1e-12, atol=1e-15)
 
 
 def test_tabulated_without_re_column_refuses_real_axis_kinematics():
