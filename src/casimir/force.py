@@ -38,7 +38,7 @@ _PASSIVITY_SLACK = 1e-9
 # real-axis budget: an outer round (the Q'L = 1 seed is a round of one node)
 # may average this many integrand evaluations per Q' node, and a call spend
 # this many in all; a Drude pair at 10 nm to 10 um and rtol 1e-3 to 1e-5
-# needs up to 3.5 k per node and 0.53 M in all
+# needs up to 3.6 k per node and 0.33 M in all
 _REAL_AXIS_EVALS_PER_NODE = 60_000
 _REAL_AXIS_EVALS = 30_000_000
 # starting partitions of the nested imaginary-axis and Lifshitz integrals,
@@ -59,6 +59,14 @@ _OUTER_EDGES = np.array([0.0, 0.4, 0.7, 0.85, 1.0])
 _P_EDGES = np.array([0.0, 0.5, 0.8, 0.97, 1.0])
 _V_EDGES = np.array([0.0, 0.05, 0.25, 1.0])
 _XI_EDGES = np.array([0.0, 0.3, 0.6, 0.8, 0.9, 1.0])
+# starting partition of the real-axis outer Q' integral, in Q'L itself:
+# its first round resolves the peak near Q'L = 1 and the exponential
+# tail.  Past Q'L = 12 the outer integrand falls as about Q'^3 e^{-2Q'},
+# some 1e-8 of the pressure, below a hundredth of the tightest target,
+# 1e-6.  Graded on the real-axis census of tests/census.py: the outer
+# error is dominated by the inner integrals' noise, so finer starting
+# panels buy nothing
+_Q_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 12.0])
 
 
 @dataclass(frozen=True)
@@ -309,9 +317,9 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     tail, turned into the upper half-plane, where the amplitudes are
     analytic and e^{2ikL} decays); a round trip |r1 r2| that does not
     fall along real k past K is refused, as its tail converges only as
-    an Abel sum.  The outer Q' integral runs adaptively from a coarse
-    grid, and the k-integrals of every Q' node of one outer round run in
-    lockstep.  Past an evaluation budget (``_REAL_AXIS_EVALS_PER_NODE`` per
+    an Abel sum.  The outer Q' integral runs adaptively from the panels
+    of ``_Q_EDGES``, and the k-integrals of every Q' node of one outer
+    round run in lockstep.  Past an evaluation budget (``_REAL_AXIS_EVALS_PER_NODE`` per
     Q' node of an outer round, ``_REAL_AXIS_EVALS`` in all) it raises
     :class:`ConvergenceError`.  Practical accuracy is limited; intended as
     the contour-equivalence validation for dissipative models.
@@ -353,18 +361,20 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
                 f"node of an outer round, {_REAL_AXIS_EVALS} in all)")
         return out
 
-    def inner_many(us, floor):
+    def inner_many(us, floor=None):
         """The k-integrals at the outer nodes ``us``, all in lockstep.
 
         The evanescent segment runs on the relative ``seg_cfg``.  The
         propagating bulk [0, K] and the tail past it cancel almost
         completely at large Q', so they run on the absolute tolerance
         ``floor``, never on a tolerance relative to their own (possibly
-        huge) values.  A zero floor is bootstrapped from a rough pass.
-        Returns (values, errors, ok, parts), one entry per node each:
-        ``ok[i]`` False where a segment ran out of subdivisions or |r1 r2|
-        does not fall along real k; ``parts`` the evanescent, bulk and
-        tail values.
+        huge) values.  Without a floor (the seed, one node near the peak,
+        where they do not cancel) the evanescent segment and the bulk run
+        as the two rows of one call on one relative tolerance, and the
+        floor comes from their magnitudes.  Returns (values, errors, ok,
+        parts), one entry per node each: ``ok[i]`` False where a segment
+        ran out of subdivisions or |r1 r2| does not fall along real k;
+        ``parts`` the evanescent, bulk and tail values.
         """
         def evanescent(idx, phi):
             # -Int_0^Q ds s^2/q Im B  ->  -Int_0^{pi/2} dphi Q'^2 sin^2 phi Im B
@@ -382,14 +392,22 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         def propagating(idx, kp):
             return integrand(idx, kp).real
 
+        def segments(idx, x):
+            # row 0 the evanescent segment of node 0, row 1 its bulk; each
+            # segment's nodes pass the budget check on their own
+            out = np.empty(x.size)
+            for row, segment in enumerate((evanescent, propagating)):
+                mine = idx == row
+                if mine.any():
+                    out[mine] = segment(np.zeros_like(idx[mine]), x[mine])
+            return out
+
         def tail(idx, y):
             # r1 r2 is analytic for Im k > 0, where e^{2ik} decays, so
             # Re Int_K^inf dk = Re i Int_0^inf dy at k = K + iy
             return -integrand(idx, K[idx] + 1j * y).imag
 
         n = us.size
-        ev, ev_err, ok = integrate_many(evanescent, np.zeros(n),
-                                        np.full(n, 0.5 * np.pi), seg_cfg)
         K = np.maximum(4.0 * us, 8.0)
         # |r1 r2| at real k past K: at most 1 for a passive pair, and it
         # must fall, for on the tilted line even a constant amplitude would
@@ -400,27 +418,33 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         _check_passive(prod_s, "propagating k")
         _check_passive(prod_p, "propagating k")
         rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(n, 4)
-        ok &= (rho[:, -1] < rho[:, 0]) | (rho[:, -1] == 0.0)
-        if not floor > 0.0:
-            rough, _, _ = integrate_many(propagating, np.zeros(n), K,
-                                         replace(seg_cfg, rtol=1e-3))
-            floor = float(np.min((np.abs(rough) + np.abs(ev)) * target * 0.05))
-        abs_cfg = replace(seg_cfg, atol=floor, rtol=1e-5,
-                          max_subdivisions=min(cfg.max_subdivisions, 1200))
+        ok = (rho[:, -1] < rho[:, 0]) | (rho[:, -1] == 0.0)
         # a spent budget keeps its partial sum and marks its node
-        bulk, bulk_err, bulk_ok = integrate_many(propagating, np.zeros(n), K, abs_cfg)
+        bulk_cfg = replace(seg_cfg, max_subdivisions=min(cfg.max_subdivisions, 1200))
+        if floor is None:
+            vals, errs, seg_ok = integrate_many(
+                segments, np.zeros(2), np.array([0.5 * np.pi, K[0]]),
+                replace(bulk_cfg, rtol=max(0.05 * target, 1e-10)))
+            ev, bulk, ev_err, bulk_err = vals[:1], vals[1:], errs[:1], errs[1:]
+            ok &= seg_ok.all()
+            floor = float((abs(vals[0]) + abs(vals[1])) * target * 0.05)
+        else:
+            ev, ev_err, ev_ok = integrate_many(evanescent, np.zeros(n),
+                                               np.full(n, 0.5 * np.pi), seg_cfg)
+            bulk, bulk_err, bulk_ok = integrate_many(
+                propagating, np.zeros(n), K, replace(bulk_cfg, atol=floor, rtol=1e-5))
+            ok &= ev_ok & bulk_ok
         # atol only: bulk and tail are O(1) and cancel in the sum, so a
         # relative exit criterion would leave errors far above floor
-        tail_cfg = replace(abs_cfg, atol=0.25 * floor, rtol=1e-10)
+        tail_cfg = replace(bulk_cfg, atol=0.25 * floor, rtol=1e-10)
         tl, tl_err, tl_ok = integrate_semi_infinite_many(tail, np.full(n, 0.5),
                                                          [0.0, 0.5, 1.0], tail_cfg)
-        return (bulk + tl + ev, bulk_err + tl_err + ev_err, ok & bulk_ok & tl_ok,
-                (ev, bulk, tl))
+        return (bulk + tl + ev, bulk_err + tl_err + ev_err, ok & tl_ok, (ev, bulk, tl))
 
     # seed the magnitude of the inner integrals near the peak so every
     # later one gets a meaningful absolute floor; a failure here means the
     # whole contour is hopeless, so it propagates to the caller
-    v0, e0, ok0, parts0 = inner_many(np.array([1.0]), 0.0)
+    v0, e0, ok0, parts0 = inner_many(np.array([1.0]))
     if not ok0[0]:
         raise ConvergenceError(
             "the real-frequency contour does not converge for this model: at "
@@ -442,13 +466,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             inner_rel = max(inner_rel, float(np.max(errors)) / scale)
         return us * values
 
-    # adaptive in Q' from a coarse grid, whose first round resolves the
-    # peak near Q'L = 1 and the exponential tail; past Q' = 12 the outer
-    # integrand falls as about Q'^3 e^{-2Q'}, some 1e-8 of the pressure,
-    # below a hundredth of the tightest target, 1e-6
-    edges = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 12.0])
     vals, errs, ok = integrate_many(
-        f, edges[None, :-1], edges[None, 1:],
+        f, _Q_EDGES[None, :-1], _Q_EDGES[None, 1:],
         QuadratureConfig(rtol=target, max_subdivisions=cfg.max_subdivisions))
     val, err = float(vals[0]), float(errs[0])
 

@@ -5,16 +5,21 @@ A row is one force call: a pair of slabs, a path, a gap and a relative
 tolerance.  Its reference is the other path at rtol 1e-12 where that path
 can express the pair (two slabs of one Fresnel medium), else the same path
 at rtol 1e-12; a real-axis row's reference is the imaginary axis at rtol
-1e-12.  A row is covered when its error is at least its deviation from
-the reference.
+1e-12 (1e-11 in the real-axis census).  A row is covered when its error
+is at least its deviation from the reference.
 
 Run as a script, it prints per path and rtol the evaluations, rows, rows
 covered, converged rows, rows within rtol of their reference, the worst
 (smallest) and the median error/deviation and the wall time, as JSON:
 
-    PYTHONPATH=src python tests/census.py            # the full census
-    PYTHONPATH=src python tests/census.py --slice    # the Tier-1 rows
-    PYTHONPATH=src python tests/census.py --rows     # also every row
+    PYTHONPATH=src python tests/census.py              # the full census
+    PYTHONPATH=src python tests/census.py --slice      # the Tier-1 rows
+    PYTHONPATH=src python tests/census.py --real-axis  # the 57 real-axis rows
+    PYTHONPATH=src python tests/census.py --rows       # also every row
+
+The real-axis census runs Drude(1e16, 1e14) slabs, a mirror facing such a
+slab and Drude-gold slabs at 10, 20 and 40 nm, 100 and 500 nm and 1 um
+(and 3 um for the Drude(1e16, 1e14) pair), at rtol 1e-3, 1e-4 and 1e-5.
 """
 
 from __future__ import annotations
@@ -51,10 +56,15 @@ GAPS = (1e-8, 5e-8, 2e-7, 1e-6, 1e-5)
 RTOLS = (1e-4, 1e-6, 1e-8, 1e-10)
 SLICE_GAPS = (1e-8, 1e-6)
 SLICE_RTOLS = (1e-4, 1e-6, 1e-8)
-# the real-axis rows, (gap, rtol), all Tier-1: Drude(1e16, 1e14) slabs
+# the Tier-1 real-axis rows, (gap, rtol): Drude(1e16, 1e14) slabs
 REAL_AXIS_DRUDE = (1e16, 1e14)
 REAL_AXIS_ROWS = ((1e-8, 1e-3), (2e-8, 1e-3), (4e-8, 1e-3), (5e-7, 1e-3),
                   (1e-8, 1e-5), (2e-8, 1e-5), (4e-8, 1e-5))
+# the real-axis census: its gaps (the Drude(1e16, 1e14) pair adds 3 um),
+# rtols and reference rtol
+REAL_AXIS_GAPS = (1e-8, 2e-8, 4e-8, 1e-7, 5e-7, 1e-6)
+REAL_AXIS_RTOLS = (1e-3, 1e-4, 1e-5)
+REAL_AXIS_REFERENCE_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -142,21 +152,35 @@ def census(full=True):
     return rows, wall
 
 
-def real_axis_census():
-    """The real-axis rows of ``REAL_AXIS_ROWS``, and the wall time each rtol
-    spent on them, excluding references."""
-    r = FresnelReflection(Drude(*REAL_AXIS_DRUDE))
-    gaps = sorted({L for L, _ in REAL_AXIS_ROWS})
-    refs = force_imag_axis_many(r, r, gaps, QuadratureConfig(rtol=REFERENCE_RTOL))
-    refs = {L: ref.pressure for L, ref in zip(gaps, refs)}
+def real_axis_census(full=False):
+    """The real-axis rows (``full=False``: the Tier-1 rows of
+    ``REAL_AXIS_ROWS``), and the wall time each rtol spent on them,
+    excluding references."""
+    drude = FresnelReflection(Drude(*REAL_AXIS_DRUDE))
+    gold = FresnelReflection(Drude(*GOLD))
+    pairs = {"drude-1e16-1e14": (drude, drude), "mirror-drude-1e16-1e14": (PerfectMirror(), drude),
+             "drude-gold": (gold, gold)}
+    if full:
+        plan = [(case, L, rtol) for case in pairs
+                for L in REAL_AXIS_GAPS + ((3e-6,) if case == "drude-1e16-1e14" else ())
+                for rtol in REAL_AXIS_RTOLS]
+        ref_rtol = REAL_AXIS_REFERENCE_RTOL
+    else:
+        plan = [("drude-1e16-1e14", L, rtol) for L, rtol in REAL_AXIS_ROWS]
+        ref_rtol = REFERENCE_RTOL
+    refs = {}
+    for case in dict.fromkeys(case for case, _, _ in plan):
+        gaps = sorted({L for c, L, _ in plan if c == case})
+        results = force_imag_axis_many(*pairs[case], gaps, QuadratureConfig(rtol=ref_rtol))
+        refs.update({(case, L): ref.pressure for L, ref in zip(gaps, results)})
     rows, wall = [], {}
-    for L, rtol in REAL_AXIS_ROWS:
+    for case, L, rtol in plan:
         start = time.perf_counter()
-        res = force_real_axis(r, r, L, QuadratureConfig(rtol=rtol))
+        res = force_real_axis(*pairs[case], L, QuadratureConfig(rtol=rtol))
         key = "real-axis", rtol
         wall[key] = wall.get(key, 0.0) + time.perf_counter() - start
-        rows.append(Row("drude-1e16-1e14", "real-axis", L, rtol, res.pressure, res.error,
-                        res.neval, res.converged, refs[L]))
+        rows.append(Row(case, "real-axis", L, rtol, res.pressure, res.error, res.neval,
+                        res.converged, refs[case, L]))
     return rows, wall
 
 
@@ -183,11 +207,16 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--slice", action="store_true",
                         help="the Tier-1 slice and the real-axis rows alone")
+    parser.add_argument("--real-axis", action="store_true",
+                        help="the real-axis census alone")
     parser.add_argument("--rows", action="store_true", help="also print every row")
     args = parser.parse_args(argv)
-    rows, wall = census(full=not args.slice)
-    real_rows, real_wall = real_axis_census()
-    rows, wall = rows + real_rows, {**wall, **real_wall}
+    if args.real_axis:
+        rows, wall = real_axis_census(full=True)
+    else:
+        rows, wall = census(full=not args.slice)
+        real_rows, real_wall = real_axis_census()
+        rows, wall = rows + real_rows, {**wall, **real_wall}
     report = {"totals": totals(rows, wall)}
     if args.rows:
         report["rows"] = [{**vars(r), "deviation": r.deviation} for r in rows]

@@ -407,7 +407,7 @@ quadrature: {{rtol: 1.0e-3}}
 """, "run.yaml")
     assert main(["run", str(run), "--out", str(tmp_path / "run.csv")]) == 0
     (row,) = read_table_csv(tmp_path / "run.csv")
-    assert row["status"] == "ok" and int(row["evals"]) == 139_725
+    assert row["status"] == "ok" and int(row["evals"]) == 70_170
     cfg = _write(tmp_path, f"slab1: {slab}\nslab2: {slab}\ndos: {{L: 1.0e-6, Q: 2.0e6}}\n")
     assert main(["dos", str(cfg), "--out", str(tmp_path / "dos.csv")]) == 0
     assert len(read_table_csv(tmp_path / "dos.csv")) == 500
