@@ -12,6 +12,7 @@ slab pair or an output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -442,6 +443,7 @@ def read_table_csv(path):
     return rows
 
 
+@functools.cache  # one parser per process: building one costs ten parses
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="casimir",

@@ -102,8 +102,8 @@ class Constant(DielectricModel):
     def __post_init__(self):
         if np.iscomplexobj(self.eps_r) and np.isreal(self.eps_r):
             object.__setattr__(self, "eps_r", float(np.real(self.eps_r)))
-        if not (np.isreal(self.eps_r) and self.eps_r >= 1.0):
-            raise ValueError(f"constant permittivity must be real >= 1, got {self.eps_r}")
+        if not (np.isreal(self.eps_r) and 1.0 <= self.eps_r < np.inf):
+            raise ValueError(f"constant permittivity must be real >= 1 and finite: {self.eps_r}")
 
     _finite_at_zero = True
 
@@ -121,8 +121,8 @@ class Plasma(DielectricModel):
     omega_p: float
 
     def __post_init__(self):
-        if self.omega_p <= 0.0:
-            raise ValueError("omega_p must be positive")
+        if not 0.0 < self.omega_p < np.inf:
+            raise ValueError(f"omega_p must be positive and finite, got {self.omega_p}")
 
     def _eval(self, freq):
         return 1.0 - (self.omega_p / freq) ** 2
@@ -139,8 +139,8 @@ class Drude(DielectricModel):
     gamma: float
 
     def __post_init__(self):
-        if self.omega_p <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("omega_p and gamma must be positive")
+        if not (0.0 < self.omega_p < np.inf and 0.0 < self.gamma < np.inf):
+            raise ValueError("omega_p and gamma must be positive and finite")
 
     def _eval(self, freq):
         return 1.0 - self.omega_p ** 2 / (freq * (freq + 1j * self.gamma))
@@ -160,10 +160,10 @@ class DrudeLorentz(DielectricModel):
     oscillators: tuple  # of (strength, omega_0, gamma_j)
 
     def __post_init__(self):
-        if self.eps_inf < 1.0:
-            raise ValueError("eps_inf must be >= 1")
+        if not 1.0 <= self.eps_inf < np.inf:
+            raise ValueError(f"eps_inf must be >= 1 and finite, got {self.eps_inf}")
         for s, w0, g in self.oscillators:
-            if s < 0.0 or w0 <= 0.0 or g < 0.0:
+            if not (0.0 <= s < np.inf and 0.0 < w0 < np.inf and 0.0 <= g < np.inf):
                 raise ValueError(f"bad oscillator (S={s}, omega_0={w0}, gamma={g})")
 
     _finite_at_zero = True

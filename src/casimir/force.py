@@ -35,12 +35,11 @@ from .quadrature import QuadratureConfig, integrate_many, integrate_semi_infinit
 from .reflection import ReflectionModel, WaveKinematics
 
 _PASSIVITY_SLACK = 1e-9
-# real-axis budget: an outer round (the Q'L = 1 seed is a round of one node)
-# may average this many integrand evaluations per Q' node, and a call spend
-# this many in all; a Drude pair at 10 nm to 10 um and rtol 1e-3 to 1e-5
-# needs up to 3.6 k per node and 0.33 M in all
-_REAL_AXIS_EVALS_PER_NODE = 60_000
-_REAL_AXIS_EVALS = 30_000_000
+# real-axis caps: every k-segment of every Q' node may take this many
+# subdivisions, and the outer Q' integral this many bisection rounds past
+# its starting panels; the real-axis census takes at most 455 and 8
+_REAL_AXIS_SUBDIVISIONS = 1200
+_REAL_AXIS_ROUNDS = 16
 # starting partitions of the nested imaginary-axis and Lifshitz integrals,
 # as panel edges in u, graded where a census of their work found it; each
 # panel counts as one subdivision.  The outer w-integral, in
@@ -319,18 +318,19 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     fall along real k past K is refused, as its tail converges only as
     an Abel sum.  The outer Q' integral runs adaptively from the panels
     of ``_Q_EDGES``, and the k-integrals of every Q' node of one outer
-    round run in lockstep.  Past an evaluation budget (``_REAL_AXIS_EVALS_PER_NODE`` per
-    Q' node of an outer round, ``_REAL_AXIS_EVALS`` in all) it raises
-    :class:`ConvergenceError`.  Practical accuracy is limited; intended as
-    the contour-equivalence validation for dissipative models.
+    round run in lockstep.  A k-segment stops at ``_REAL_AXIS_SUBDIVISIONS``
+    subdivisions, the outer integral after ``_REAL_AXIS_ROUNDS`` rounds; a
+    spent cap keeps its partial sum and marks the result non-converged, or
+    at the Q'L = 1 seed raises :class:`ConvergenceError` with the seed's
+    value, error and segment sums.  Practical accuracy is limited; intended
+    as the contour-equivalence validation for dissipative models.
     """
     _gaps([L])
     cfg = cfg or QuadratureConfig()
     target = max(cfg.rtol, 1e-6)
-    seg_cfg = QuadratureConfig(rtol=max(target * 0.1, 1e-10), atol=0.0,
-                               max_subdivisions=cfg.max_subdivisions)
+    seg_cfg = QuadratureConfig(rtol=max(target * 0.1, 1e-10), atol=0.0, max_subdivisions=min(
+        cfg.max_subdivisions, _REAL_AXIS_SUBDIVISIONS))
     neval = 0
-    budget = _REAL_AXIS_EVALS_PER_NODE  # the seed's round of one node
 
     def products(Qp, q, k):
         """(r1 r2)_s and (r1 r2)_p at Q = Q'/L, frequency c q/L and the
@@ -342,7 +342,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
 
     def round_trips(Qp, q, k, phase):
         """Polarization-summed g/(1-g) with g = r1 r2 * phase, counted
-        against the budget."""
+        as evaluations."""
         nonlocal neval
         out = 0.0
         for prod in products(Qp, q, k):
@@ -354,11 +354,6 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
                     "or use the imaginary-axis path")
             out = out + g / den
         neval += phase.size
-        if neval > budget:
-            raise ConvergenceError(
-                f"the real-frequency contour spent {neval} integrand evaluations, "
-                f"over its budget of {budget} ({_REAL_AXIS_EVALS_PER_NODE} per Q' "
-                f"node of an outer round, {_REAL_AXIS_EVALS} in all)")
         return out
 
     def inner_many(us, floor=None):
@@ -393,8 +388,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             return integrand(idx, kp).real
 
         def segments(idx, x):
-            # row 0 the evanescent segment of node 0, row 1 its bulk; each
-            # segment's nodes pass the budget check on their own
+            # row 0 the evanescent segment of node 0, row 1 its bulk
             out = np.empty(x.size)
             for row, segment in enumerate((evanescent, propagating)):
                 mine = idx == row
@@ -419,12 +413,11 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
         _check_passive(prod_p, "propagating k")
         rho = (np.abs(prod_s) + np.abs(prod_p)).reshape(n, 4)
         ok = (rho[:, -1] < rho[:, 0]) | (rho[:, -1] == 0.0)
-        # a spent budget keeps its partial sum and marks its node
-        bulk_cfg = replace(seg_cfg, max_subdivisions=min(cfg.max_subdivisions, 1200))
+        # a spent cap keeps its partial sum and marks its node
         if floor is None:
             vals, errs, seg_ok = integrate_many(
                 segments, np.zeros(2), np.array([0.5 * np.pi, K[0]]),
-                replace(bulk_cfg, rtol=max(0.05 * target, 1e-10)))
+                replace(seg_cfg, rtol=max(0.05 * target, 1e-10)))
             ev, bulk, ev_err, bulk_err = vals[:1], vals[1:], errs[:1], errs[1:]
             ok &= seg_ok.all()
             floor = float((abs(vals[0]) + abs(vals[1])) * target * 0.05)
@@ -432,11 +425,11 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
             ev, ev_err, ev_ok = integrate_many(evanescent, np.zeros(n),
                                                np.full(n, 0.5 * np.pi), seg_cfg)
             bulk, bulk_err, bulk_ok = integrate_many(
-                propagating, np.zeros(n), K, replace(bulk_cfg, atol=floor, rtol=1e-5))
+                propagating, np.zeros(n), K, replace(seg_cfg, atol=floor, rtol=1e-5))
             ok &= ev_ok & bulk_ok
         # atol only: bulk and tail are O(1) and cancel in the sum, so a
         # relative exit criterion would leave errors far above floor
-        tail_cfg = replace(bulk_cfg, atol=0.25 * floor, rtol=1e-10)
+        tail_cfg = replace(seg_cfg, atol=0.25 * floor, rtol=1e-10)
         tl, tl_err, tl_ok = integrate_semi_infinite_many(tail, np.full(n, 0.5),
                                                          [0.0, 0.5, 1.0], tail_cfg)
         return (bulk + tl + ev, bulk_err + tl_err + ev_err, ok & tl_ok, (ev, bulk, tl))
@@ -458,8 +451,7 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
     def f(idx, us):
         # one floor for every node, fixed by the seed, so the outer tails
         # are not resolved to pointless relative precision
-        nonlocal inner_rel, converged, budget
-        budget = min(neval + _REAL_AXIS_EVALS_PER_NODE * us.size, _REAL_AXIS_EVALS)
+        nonlocal inner_rel, converged
         values, errors, ok, _ = inner_many(us, scale * target * 0.3)
         converged = converged and bool(ok.all())
         if scale > 0.0:
@@ -468,7 +460,8 @@ def force_real_axis(r1: ReflectionModel, r2: ReflectionModel, L: float,
 
     vals, errs, ok = integrate_many(
         f, _Q_EDGES[None, :-1], _Q_EDGES[None, 1:],
-        QuadratureConfig(rtol=target, max_subdivisions=cfg.max_subdivisions))
+        QuadratureConfig(rtol=target, max_subdivisions=min(
+            cfg.max_subdivisions, len(_Q_EDGES) - 1 + _REAL_AXIS_ROUNDS)))
     val, err = float(vals[0]), float(errs[0])
 
     pref = HBAR * C_LIGHT / (2.0 * math.pi ** 2 * L ** 4)

@@ -263,6 +263,10 @@ class ConstantReflection(ReflectionModel):
 
     constant_amplitudes = True
 
+    def __post_init__(self):
+        if not (np.isfinite(complex(self.r_s)) and np.isfinite(complex(self.r_p))):
+            raise ValueError(f"amplitudes must be finite, got {self.r_s}, {self.r_p}")
+
     def pair(self, kin):
         rs, rp = complex(self.r_s), complex(self.r_p)
         if not (rs.imag or rp.imag):

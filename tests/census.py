@@ -10,7 +10,11 @@ is at least its deviation from the reference.
 
 Run as a script, it prints per path and rtol the evaluations, rows, rows
 covered, converged rows, rows within rtol of their reference, the worst
-(smallest) and the median error/deviation and the wall time, as JSON:
+(smallest) and the median error/deviation and the wall time, as JSON; for
+the real axis also the most bisection rounds its outer Q' integral took
+and the most subdivisions any k-segment of a Q' node took, against the
+caps ``_REAL_AXIS_ROUNDS`` and ``_REAL_AXIS_SUBDIVISIONS`` of
+``casimir.force``:
 
     PYTHONPATH=src python tests/census.py              # the full census
     PYTHONPATH=src python tests/census.py --slice      # the Tier-1 rows
@@ -25,11 +29,14 @@ slab and Drude-gold slabs at 10, 20 and 40 nm, 100 and 500 nm and 1 um
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from casimir import (
     Constant,
@@ -47,6 +54,7 @@ from casimir import (
     lifshitz_force_many,
     load_optical_table,
 )
+from casimir import force
 
 GOLD = (1.37e16, 5.3e13)
 GOLD_PATH = Path(__file__).resolve().parents[1] / "data" / "gold_drude.dat"
@@ -113,6 +121,9 @@ class Row:
     neval: int
     converged: bool
     reference: float
+    # real-axis rows: outer Q' bisection rounds, most subdivisions of a k-segment
+    rounds: int | None = None
+    subdivisions: int | None = None
 
     @property
     def deviation(self):
@@ -152,6 +163,47 @@ def census(full=True):
     return rows, wall
 
 
+@contextlib.contextmanager
+def _real_axis_traffic():
+    """Within the block, count the outer Q' bisection rounds and the most
+    subdivisions of any k-segment of ``force_real_axis`` calls, by wrapping
+    the two engine entry points ``casimir.force`` calls.  A lockstep call
+    calls its integrand once on its m starting panels and once per round
+    after, and each of its integrals holds at most m + rounds panels."""
+    counts = {"rounds": 0, "subdivisions": 0}
+    many, semi = force.integrate_many, force.integrate_semi_infinite_many
+
+    def rounds(entry, f, a, b, cfg):
+        calls = 0
+
+        def g(idx, x):
+            nonlocal calls
+            calls += 1
+            return f(idx, x)
+
+        return entry(g, a, b, cfg), calls - 1
+
+    def integrate_many(f, lo, hi, cfg=None):
+        out, n = rounds(many, f, lo, hi, cfg)
+        if np.ndim(lo) == 2:  # the outer Q' integral, from the panels of _Q_EDGES
+            counts["rounds"] = max(counts["rounds"], n)
+        else:  # k-segments, from one panel each
+            counts["subdivisions"] = max(counts["subdivisions"], 1 + n)
+        return out
+
+    def integrate_semi_infinite_many(f, scales, edges, cfg=None):
+        out, n = rounds(semi, f, scales, edges, cfg)
+        counts["subdivisions"] = max(counts["subdivisions"], len(edges) - 1 + n)
+        return out
+
+    force.integrate_many = integrate_many
+    force.integrate_semi_infinite_many = integrate_semi_infinite_many
+    try:
+        yield counts
+    finally:
+        force.integrate_many, force.integrate_semi_infinite_many = many, semi
+
+
 def real_axis_census(full=False):
     """The real-axis rows (``full=False``: the Tier-1 rows of
     ``REAL_AXIS_ROWS``), and the wall time each rtol spent on them,
@@ -175,12 +227,15 @@ def real_axis_census(full=False):
         refs.update({(case, L): ref.pressure for L, ref in zip(gaps, results)})
     rows, wall = [], {}
     for case, L, rtol in plan:
-        start = time.perf_counter()
-        res = force_real_axis(*pairs[case], L, QuadratureConfig(rtol=rtol))
+        with _real_axis_traffic() as counts:
+            start = time.perf_counter()
+            res = force_real_axis(*pairs[case], L, QuadratureConfig(rtol=rtol))
+            seconds = time.perf_counter() - start
         key = "real-axis", rtol
-        wall[key] = wall.get(key, 0.0) + time.perf_counter() - start
+        wall[key] = wall.get(key, 0.0) + seconds
         rows.append(Row(case, "real-axis", L, rtol, res.pressure, res.error, res.neval,
-                        res.converged, refs[case, L]))
+                        res.converged, refs[case, L], counts["rounds"],
+                        counts["subdivisions"]))
     return rows, wall
 
 
@@ -200,6 +255,10 @@ def totals(rows, wall):
             "median_error_over_deviation": statistics.median(ratios) if ratios else None,
             "wall_s": round(seconds, 4),
         }
+        if path == "real-axis":
+            out[path][f"{rtol:g}"].update(
+                most_outer_rounds=max(r.rounds for r in group),
+                most_segment_subdivisions=max(r.subdivisions for r in group))
     return out
 
 

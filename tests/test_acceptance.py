@@ -31,7 +31,7 @@ def _report(capsys, ok, label, detail):
 def test_criterion_1_perfect_mirror_recovery(capsys):
     m = cs.PerfectMirror()
     cfg = cs.QuadratureConfig(rtol=1e-9)
-    cs.force_imag_axis(m, m, 1e-6, cfg)  # warm the compiled kernels
+    cs.force_imag_axis(m, m, 1e-6, cfg)  # untimed: keep one-time start-up costs out
     worst = 0.0
     slowest = 0.0
     for L in (10e-9, 100e-9, 1e-6, 10e-6):

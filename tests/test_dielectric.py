@@ -6,6 +6,7 @@ import pytest
 
 from casimir import (
     Constant,
+    ConstantReflection,
     DielectricModel,
     Drude,
     DrudeLorentz,
@@ -48,6 +49,24 @@ def test_constructor_validation():
         Drude(WP, 0.0)
     with pytest.raises(ValueError):
         DrudeLorentz(eps_inf=0.2, oscillators=((1.0, 1e15, 1e13),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Drude(np.nan, 1e14), lambda: Drude(1e16, np.nan), lambda: Drude(np.inf, 1e14),
+    lambda: Plasma(np.nan), lambda: Plasma(np.inf), lambda: Constant(np.inf),
+    lambda: DrudeLorentz(eps_inf=np.nan, oscillators=()),
+    lambda: DrudeLorentz(eps_inf=np.inf, oscillators=()),
+    lambda: DrudeLorentz(eps_inf=1.0, oscillators=((np.nan, 1e15, 1e13),)),
+    lambda: DrudeLorentz(eps_inf=1.0, oscillators=((1.0, np.nan, 1e13),)),
+    lambda: DrudeLorentz(eps_inf=1.0, oscillators=((1.0, 1e15, np.inf),)),
+    lambda: ConstantReflection(r_s=np.nan, r_p=0.5),
+    lambda: ConstantReflection(r_s=0.5, r_p=complex(0.0, np.inf)),
+])
+def test_models_refuse_non_finite_parameters(build):
+    # NaN fails every comparison, so a sign check alone lets it through to a
+    # force call, which would then fail as a non-finite integrand
+    with pytest.raises(ValueError, match="finite|bad oscillator"):
+        build()
 
 
 def test_drude_real_axis_matches_closed_form():

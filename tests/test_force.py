@@ -1,5 +1,5 @@
 import functools
-import re
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -257,17 +257,48 @@ def test_real_axis_contour_converges_for_a_mirror_facing_a_drude_metal():
 
 
 def test_real_axis_budget_stops_a_hopeless_contour(monkeypatch):
-    # a contour whose Q'L = 1 seed alone outspends the per-node budget
-    # stops within one bisection round (30 evaluations) of the seed's
-    # allowance; the mirror facing a Drude metal at 20 nm needs over 1,000
-    # evaluations at that node
-    monkeypatch.setattr(force_module, "_REAL_AXIS_EVALS_PER_NODE", 1_000)
-    with pytest.raises(ConvergenceError, match=r"over its budget of 1000 \(1000 per "
-                                               r"Q' node of an outer round") as exc_info:
-        force_real_axis(PerfectMirror(), FresnelReflection(Drude(1e16, 1e14)), 20e-9,
+    # a contour whose Q'L = 1 seed outspends the segment cap (the mirror
+    # facing a Drude metal at 20 nm needs more than 10 subdivisions there)
+    # raises with the seed's value, error and three segment sums; its
+    # amplitudes are asked for at most ten subdivisions of each of the
+    # seed's two rows (one panel, then 30 points a round) and of its tail
+    # (two panels), plus the four |r1 r2| probes
+    spent = []
+
+    class CountingFresnel(FresnelReflection):
+        def pair(self, kin):
+            spent.append(np.size(kin.k))
+            return super().pair(kin)
+
+    monkeypatch.setattr(force_module, "_REAL_AXIS_SUBDIVISIONS", 10)
+    with pytest.raises(ConvergenceError, match="at Q'L = 1 a segment ran out") as exc_info:
+        force_real_axis(PerfectMirror(), CountingFresnel(Drude(1e16, 1e14)), 20e-9,
                         QuadratureConfig(rtol=1e-3))
-    spent = int(re.search(r"spent (\d+) integrand", str(exc_info.value)).group(1))
-    assert 1_000 < spent <= 1_030
+    err = exc_info.value
+    assert math.isfinite(err.value) and math.isfinite(err.error) and err.error > 0.0
+    assert len(err.partial_sums) == 3
+    assert all(type(v) is float and math.isfinite(v) for v in err.partial_sums)
+    assert 0 < sum(spent) <= 2 * (15 + 9 * 30) + (30 + 8 * 30) + 4
+
+
+def test_real_axis_round_cap_keeps_the_partial_sum(monkeypatch):
+    # a spent outer cap ends the Q' integral with its partial sum and
+    # error, marks the result non-converged and spends fewer evaluations:
+    # a mirror facing a Drude metal at 3 um and rtol 1e-6 takes 8 outer
+    # bisection rounds, here capped at 6 (10 subdivisions, the least a
+    # config takes)
+    slabs = PerfectMirror(), FresnelReflection(Drude(1e16, 1e14))
+    cfg = QuadratureConfig(rtol=1e-6)
+    with census._real_axis_traffic() as traffic:
+        full = force_real_axis(*slabs, 3e-6, cfg)
+    assert traffic["rounds"] == 8
+    monkeypatch.setattr(force_module, "_REAL_AXIS_ROUNDS", 6)
+    with census._real_axis_traffic() as traffic:
+        res = force_real_axis(*slabs, 3e-6, cfg)
+    assert traffic["rounds"] == 6
+    assert not res.converged and res.neval < full.neval
+    assert math.isfinite(res.pressure) and math.isfinite(res.error) and res.error > 0.0
+    assert res.pressure == pytest.approx(full.pressure, rel=1e-6)
 
 
 def test_real_axis_budget_spares_a_large_gap():
@@ -596,6 +627,14 @@ def test_real_axis_census_rows_are_converged_covered_and_within_rtol():
         assert row.converged, row
         assert row.deviation <= row.error, row
         assert row.deviation <= row.rtol * abs(row.reference), row
+
+
+def test_real_axis_census_rows_stay_within_half_of_each_cap():
+    # the Tier-1 real-axis rows take at most 1 outer bisection round and
+    # 133 subdivisions of a k-segment; the caps stand at 16 and 1200
+    rows = _real_axis_rows()
+    assert max(r.rounds for r in rows) <= force_module._REAL_AXIS_ROUNDS // 2
+    assert max(r.subdivisions for r in rows) <= force_module._REAL_AXIS_SUBDIVISIONS // 2
 
 
 def test_real_axis_outer_partition_costs_less_and_stays_covered(monkeypatch):
