@@ -69,26 +69,22 @@ class RunConfig:
     dos_params: dict | None = None
 
     def separations(self):
-        if self.sweep_points == 1:
-            return np.array([self.sweep_min])
         if self.sweep_spacing == "log":
             return np.geomspace(self.sweep_min, self.sweep_max, self.sweep_points)
         return np.linspace(self.sweep_min, self.sweep_max, self.sweep_points)
 
 
-def _expect_mapping(node, context):
+def _section(node, context, allowed, required=()):
+    """``node``, checked to be a mapping of ``allowed`` keys with every ``required`` one."""
     if not isinstance(node, dict):
         raise ConfigError(f"section '{context}' must be a mapping")
-    return node
-
-
-def _check_keys(node, context, allowed, required=()):
     for key in node:
         if key not in allowed:
             raise ConfigError(f"unknown key '{context}.{key}'")
     for key in required:
         if key not in node:
             raise ConfigError(f"missing required key '{context}.{key}'")
+    return node
 
 
 def _number(node, context, key, default=None, minimum=None):
@@ -113,113 +109,105 @@ def _number(node, context, key, default=None, minimum=None):
     return value
 
 
-_MATERIAL_KEYS = {
-    "vacuum": set(),
-    "constant": {"eps_r"},
-    "plasma": {"omega_p"},
-    "drude": {"omega_p", "gamma"},
-    "drude_lorentz": {"eps_inf", "oscillators"},
-    "tabulated": {"file"},
+def _items(node, context, key, fields, nonempty=False):
+    """(context, section) of each item of the list ``context.key``, all keys ``fields``."""
+    items = node.get(key)
+    if not isinstance(items, list) or (nonempty and not items):
+        kind = "a non-empty list" if nonempty else "a list"
+        raise ConfigError(f"key '{context}.{key}' must be {kind}")
+    return [(f"{context}.{key}[{i}]", _section(item, f"{context}.{key}[{i}]", fields, fields))
+            for i, item in enumerate(items)]
+
+
+def _integer(value, key, lo=None):
+    """``value`` of ``key``, an integer, from ``lo`` to _MAX_POINTS if ``lo`` is given."""
+    span = "" if lo is None else f" from {lo} to {_MAX_POINTS}"
+    if isinstance(value, bool) or not isinstance(value, int) or \
+            (lo is not None and not lo <= value <= _MAX_POINTS):
+        raise ConfigError(f"key '{key}' must be an integer{span}, got {value!r}")
+    return value
+
+
+def _build(context, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError reported as a config error
+    of section ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"section '{context}': {exc}") from exc
+
+
+def _choice(value, key, choices):
+    """``value`` of ``key``, checked to be one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"key '{key}' must be one of {'|'.join(choices)}, got {value!r}")
+    return value
+
+
+# the config keys of each model, in the order its class takes them; the
+# classes check their own bounds
+_MATERIALS = {
+    "vacuum": (Vacuum, ()),
+    "constant": (Constant, ("eps_r",)),
+    "plasma": (Plasma, ("omega_p",)),
+    "drude": (Drude, ("omega_p", "gamma")),
+    "drude_lorentz": (DrudeLorentz, ("eps_inf", "oscillators")),
+    "tabulated": (Tabulated, ("file",)),
 }
+_OSCILLATOR = ("strength", "omega_0", "gamma")
 
 
 def _parse_material(node, context, base_dir) -> DielectricModel:
-    node = _expect_mapping(node, context)
-    _check_keys(node, context, {"model"} | set().union(*_MATERIAL_KEYS.values()),
-                required=("model",))
-    model = node["model"]
-    if model not in _MATERIAL_KEYS:
-        raise ConfigError(
-            f"key '{context}.model' must be one of {sorted(_MATERIAL_KEYS)}, got {model!r}")
-    extra = set(node) - {"model"} - _MATERIAL_KEYS[model]
+    node = _section(node, context, {"model"}.union(*(k for _, k in _MATERIALS.values())),
+                    required=("model",))
+    model = _choice(node["model"], f"{context}.model", tuple(_MATERIALS))
+    cls, keys = _MATERIALS[model]
+    extra = set(node) - {"model", *keys}
     if extra:
-        raise ConfigError(f"key '{context}.{extra.pop()}' not valid for model '{model}'")
-    try:
-        if model == "vacuum":
-            return Vacuum()
-        if model == "constant":
-            return Constant(eps_r=_number(node, context, "eps_r"))
-        if model == "plasma":
-            return Plasma(omega_p=_number(node, context, "omega_p", minimum=0.0))
-        if model == "drude":
-            return Drude(omega_p=_number(node, context, "omega_p", minimum=0.0),
-                         gamma=_number(node, context, "gamma", minimum=0.0))
-        if model == "drude_lorentz":
-            osc = node.get("oscillators")
-            if not isinstance(osc, list) or not osc:
-                raise ConfigError(f"key '{context}.oscillators' must be a non-empty list")
-            terms = []
-            for i, o in enumerate(osc):
-                oc = f"{context}.oscillators[{i}]"
-                o = _expect_mapping(o, oc)
-                _check_keys(o, oc, {"strength", "omega_0", "gamma"},
-                            required=("strength", "omega_0", "gamma"))
-                terms.append((_number(o, oc, "strength"),
-                              _number(o, oc, "omega_0", minimum=0.0),
-                              _number(o, oc, "gamma")))
-            return DrudeLorentz(eps_inf=_number(node, context, "eps_inf", default=1.0),
-                                oscillators=tuple(terms))
-        # tabulated
+        raise ConfigError(f"key '{context}.{min(extra)}' not valid for model '{model}'")
+    if model == "tabulated":
         fname = node.get("file")
         if not isinstance(fname, str):
             raise ConfigError(f"key '{context}.file' must be a path string")
-        path = Path(fname)
-        if not path.is_absolute():
-            path = base_dir / path
         try:
-            return Tabulated(table=load_optical_table(path))
+            args = (load_optical_table(base_dir / fname),)
         except OpticalTableError as exc:
             raise ConfigError(f"key '{context}.file': {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"section '{context}': {exc}") from exc
+    elif model == "drude_lorentz":
+        terms = tuple(tuple(_number(o, oc, k) for k in _OSCILLATOR)
+                      for oc, o in _items(node, context, "oscillators", _OSCILLATOR, True))
+        args = (_number(node, context, "eps_inf", default=1.0), terms)
+    else:
+        args = tuple(_number(node, context, k) for k in keys)
+    return _build(context, cls, *args)
+
+
+# the config keys of each slab type, all required
+_SLABS = {"mirror": (), "constant": ("rs", "rp"), "fresnel": ("material",),
+          "multilayer": ("layers", "substrate")}
 
 
 def _parse_slab(node, context, base_dir):
     """The ReflectionModel a ``slab1``/``slab2`` section describes."""
-    node = _expect_mapping(node, context)
-    _check_keys(node, context,
-                {"type", "material", "rs", "rp", "layers", "substrate"},
-                required=("type",))
-    kind = node["type"]
+    node = _section(node, context, {"type"}.union(*_SLABS.values()), required=("type",))
+    kind = _choice(node["type"], f"{context}.type", tuple(_SLABS))
+    _section(node, context, {"type", *_SLABS[kind]}, required=_SLABS[kind])
     if kind == "mirror":
-        _check_keys(node, context, {"type"})
         return PerfectMirror()
     if kind == "constant":
-        _check_keys(node, context, {"type", "rs", "rp"}, required=("rs", "rp"))
         return ConstantReflection(r_s=complex(_number(node, context, "rs")),
                                   r_p=complex(_number(node, context, "rp")))
     if kind == "fresnel":
-        _check_keys(node, context, {"type", "material"}, required=("material",))
         return FresnelReflection(
             dielectric=_parse_material(node["material"], f"{context}.material", base_dir))
-    if kind == "multilayer":
-        _check_keys(node, context, {"type", "layers", "substrate"},
-                    required=("layers", "substrate"))
-        if not isinstance(node["layers"], list):
-            raise ConfigError(f"key '{context}.layers' must be a list")
-        layers = []
-        for i, layer in enumerate(node["layers"]):
-            lc = f"{context}.layers[{i}]"
-            layer = _expect_mapping(layer, lc)
-            _check_keys(layer, lc, {"thickness", "material"},
-                        required=("thickness", "material"))
-            layers.append((_number(layer, lc, "thickness", minimum=0.0),
-                           _parse_material(layer["material"], f"{lc}.material", base_dir)))
-        sub = node["substrate"]
-        if sub == "mirror":
-            substrate = MIRROR
-        else:
-            substrate = _parse_material(sub, f"{context}.substrate", base_dir)
-        try:
-            stack = LayerStack(layers=tuple(layers), substrate=substrate)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"section '{context}': {exc}") from exc
-        return MultilayerReflection(stack=stack)
-    raise ConfigError(
-        f"key '{context}.type' must be one of mirror|constant|fresnel|multilayer, "
-        f"got {kind!r}")
+    layers = [(_number(layer, lc, "thickness"),
+               _parse_material(layer["material"], f"{lc}.material", base_dir))
+              for lc, layer in _items(node, context, "layers", ("thickness", "material"))]
+    sub = node["substrate"]
+    substrate = MIRROR if sub == MIRROR else \
+        _parse_material(sub, f"{context}.substrate", base_dir)
+    return MultilayerReflection(
+        stack=_build(context, LayerStack, layers=tuple(layers), substrate=substrate))
 
 
 def parse_config(path) -> RunConfig:
@@ -233,10 +221,9 @@ def parse_config(path) -> RunConfig:
         doc = yaml.load(path.read_bytes(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    doc = _expect_mapping(doc, "<root>")
-    _check_keys(doc, "<root>",
-                {"slab1", "slab2", "sweep", "path", "quadrature", "output", "dos"},
-                required=("slab1", "slab2"))
+    doc = _section(doc, "<root>",
+                   {"slab1", "slab2", "sweep", "path", "quadrature", "output", "dos"},
+                   required=("slab1", "slab2"))
     base_dir = path.parent
 
     def gap_width(context, key, value):
@@ -252,64 +239,43 @@ def parse_config(path) -> RunConfig:
     same = doc["slab2"] == doc["slab1"]
     slab2 = slab1 if same else _parse_slab(doc["slab2"], "slab2", base_dir)
 
-    sweep = _expect_mapping(doc.get("sweep", {}), "sweep")
-    _check_keys(sweep, "sweep", {"min", "max", "points", "spacing"})
-    s_min = gap_width("sweep", "min", _number(sweep, "sweep", "min", default=1e-6, minimum=0.0))
-    s_max = gap_width("sweep", "max", _number(sweep, "sweep", "max", default=s_min, minimum=0.0))
-    points = sweep.get("points", 1)
-    if isinstance(points, bool) or not isinstance(points, int) or not 1 <= points <= _MAX_POINTS:
-        raise ConfigError(
-            f"key 'sweep.points' must be an integer from 1 to {_MAX_POINTS}, got {points!r}")
+    sweep = _section(doc.get("sweep", {}), "sweep", {"min", "max", "points", "spacing"})
+    s_min = gap_width("sweep", "min", _number(sweep, "sweep", "min", default=1e-6))
+    s_max = gap_width("sweep", "max", _number(sweep, "sweep", "max", default=s_min))
+    points = _integer(sweep.get("points", 1), "sweep.points", lo=1)
     if points > 1 and not s_min < s_max:
         raise ConfigError(
             f"key 'sweep.min' must be < 'sweep.max' for a sweep, got {s_min} >= {s_max}")
-    spacing = sweep.get("spacing", "log")
-    if spacing not in ("log", "linear"):
-        raise ConfigError(f"key 'sweep.spacing' must be log|linear, got {spacing!r}")
+    spacing = _choice(sweep.get("spacing", "log"), "sweep.spacing", ("log", "linear"))
 
-    path_choice = doc.get("path", "imaginary-axis")
-    if path_choice not in _PATHS:
-        raise ConfigError(f"key 'path' must be one of {_PATHS}, got {path_choice!r}")
+    path_choice = _choice(doc.get("path", "imaginary-axis"), "path", _PATHS)
     paths = ("imaginary-axis", "lifshitz", "real-axis") if path_choice == "all" \
         else (path_choice,)
     if "lifshitz" in paths and any(doc[s]["type"] != "fresnel" for s in ("slab1", "slab2")):
         raise ConfigError(
             "key 'path': the lifshitz path needs both slabs of type 'fresnel'")
 
-    quad = _expect_mapping(doc.get("quadrature", {}), "quadrature")
-    _check_keys(quad, "quadrature", {"rtol", "max_subdivisions"})
-    max_sub = quad.get("max_subdivisions", 2000)
-    if isinstance(max_sub, bool) or not isinstance(max_sub, int):
-        raise ConfigError("key 'quadrature.max_subdivisions' must be an integer")
-    try:
-        qcfg = QuadratureConfig(rtol=_number(quad, "quadrature", "rtol", default=1e-9),
-                                max_subdivisions=max_sub)
-    except ValueError as exc:
-        raise ConfigError(f"section 'quadrature': {exc}") from exc
+    quad = _section(doc.get("quadrature", {}), "quadrature", {"rtol", "max_subdivisions"})
+    qcfg = _build("quadrature", QuadratureConfig,
+                  rtol=_number(quad, "quadrature", "rtol", default=1e-9),
+                  max_subdivisions=_integer(quad.get("max_subdivisions", 2000),
+                                            "quadrature.max_subdivisions"))
 
-    output = _expect_mapping(doc.get("output", {}), "output")
-    _check_keys(output, "output", {"format", "path"})
-    fmt = output.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"key 'output.format' must be csv|json, got {fmt!r}")
+    output = _section(doc.get("output", {}), "output", {"format", "path"})
+    fmt = _choice(output.get("format", "csv"), "output.format", ("csv", "json"))
     out_path = output.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigError("key 'output.path' must be a path string")
 
     dos_params = None
     if "dos" in doc:
-        d = _expect_mapping(doc["dos"], "dos")
-        _check_keys(d, "dos", {"L", "Q", "k_max", "points", "eta"}, required=("L",))
-        L = gap_width("dos", "L", _number(d, "dos", "L", minimum=0.0))
-        pts = d.get("points", 500)
-        if isinstance(pts, bool) or not isinstance(pts, int) or not 2 <= pts <= _MAX_POINTS:
-            raise ConfigError(
-                f"key 'dos.points' must be an integer from 2 to {_MAX_POINTS}, got {pts!r}")
+        d = _section(doc["dos"], "dos", {"L", "Q", "k_max", "points", "eta"}, required=("L",))
+        L = gap_width("dos", "L", _number(d, "dos", "L"))
         dos_params = {
             "L": L,
             "Q": _number(d, "dos", "Q", default=0.0),
             "k_max": _number(d, "dos", "k_max", default=6.0 * np.pi / L, minimum=0.0),
-            "points": pts,
+            "points": _integer(d.get("points", 500), "dos.points", lo=2),
             "eta": None if d.get("eta") is None else _number(d, "dos", "eta"),
         }
         for key in ("Q", "eta"):

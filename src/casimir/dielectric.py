@@ -7,6 +7,7 @@ imaginary axis every shipped model returns a real permittivity.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -71,7 +72,7 @@ class DielectricModel:
         A Python float for scalar ``xi``, else an array of its shape.
         """
         xi = np.asarray(xi, dtype=float)
-        if np.any(xi <= 0.0):
+        if not np.all(xi > 0.0):
             raise FrequencyDomainError("xi must be > 0 on the imaginary axis")
         if xi.ndim == 0:
             return float(self._eval_iw(float(xi)))
@@ -103,7 +104,7 @@ class Constant(DielectricModel):
         if np.iscomplexobj(self.eps_r) and np.isreal(self.eps_r):
             object.__setattr__(self, "eps_r", float(np.real(self.eps_r)))
         if not (np.isreal(self.eps_r) and 1.0 <= self.eps_r < np.inf):
-            raise ValueError(f"constant permittivity must be real >= 1 and finite: {self.eps_r}")
+            raise ValueError(f"eps_r must be real >= 1 and finite, got {self.eps_r}")
 
     _finite_at_zero = True
 
@@ -139,8 +140,9 @@ class Drude(DielectricModel):
     gamma: float
 
     def __post_init__(self):
-        if not (0.0 < self.omega_p < np.inf and 0.0 < self.gamma < np.inf):
-            raise ValueError("omega_p and gamma must be positive and finite")
+        for name, value in (("omega_p", self.omega_p), ("gamma", self.gamma)):
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def _eval(self, freq):
         return 1.0 - self.omega_p ** 2 / (freq * (freq + 1j * self.gamma))
@@ -162,9 +164,12 @@ class DrudeLorentz(DielectricModel):
     def __post_init__(self):
         if not 1.0 <= self.eps_inf < np.inf:
             raise ValueError(f"eps_inf must be >= 1 and finite, got {self.eps_inf}")
-        for s, w0, g in self.oscillators:
-            if not (0.0 <= s < np.inf and 0.0 < w0 < np.inf and 0.0 <= g < np.inf):
-                raise ValueError(f"bad oscillator (S={s}, omega_0={w0}, gamma={g})")
+        for i, (s, w0, g) in enumerate(self.oscillators):
+            if not 0.0 < w0 < np.inf:
+                raise ValueError(f"oscillator {i}: omega_0 must be positive and finite, got {w0}")
+            for name, v in (("strength", s), ("gamma", g)):
+                if not 0.0 <= v < np.inf:
+                    raise ValueError(f"oscillator {i}: {name} must be >= 0 and finite, got {v}")
 
     _finite_at_zero = True
 
@@ -249,30 +254,23 @@ class OpticalTable:
 def load_optical_table(path) -> OpticalTable:
     """Read a whitespace-separated (omega, Im eps[, Re eps]) text file.
 
-    Lines starting with '#' are comments; frequencies are rad/s.
+    '#' starts a comment; frequencies are rad/s.
     """
     p = Path(path)
     if not p.is_file():
         raise OpticalTableError(f"optical table file not found: {p}")
-    rows = []
-    for ln, line in enumerate(p.read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) not in (2, 3):
-            raise OpticalTableError(
-                f"{p}:{ln}: expected 2 or 3 numeric columns, got {len(parts)}")
+    with warnings.catch_warnings():
+        # an empty table is refused below, without numpy's warning
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            rows.append([float(tok) for tok in parts])
+            data = np.loadtxt(p, comments="#", ndmin=2)
         except ValueError as exc:
-            raise OpticalTableError(f"{p}:{ln}: non-numeric entry") from exc
-    if len(rows) < 2:
-        raise OpticalTableError(f"{p}: need at least 2 data rows, got {len(rows)}")
-    ncols = {len(r) for r in rows}
-    if len(ncols) != 1:
-        raise OpticalTableError(f"{p}: inconsistent column count across rows")
-    data = np.asarray(rows, dtype=float)
+            raise OpticalTableError(
+                f"{p}: non-numeric entry or a changing number of columns ({exc})") from exc
+    if len(data) < 2:
+        raise OpticalTableError(f"{p}: need at least 2 data rows, got {len(data)}")
+    if data.shape[1] not in (2, 3):
+        raise OpticalTableError(f"{p}: expected 2 or 3 numeric columns, got {data.shape[1]}")
     re_eps = data[:, 2] if data.shape[1] == 3 else None
     return OpticalTable(omega=data[:, 0], im_eps=data[:, 1], re_eps=re_eps)
 

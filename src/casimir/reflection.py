@@ -106,7 +106,7 @@ class _RotatedKinematics:
         self.k = np.sqrt(Q * Q + self.q * self.q)
 
     def eps(self, medium):
-        return medium.eval_iw(self.xi)
+        return medium._eval_iw(self.xi)
 
     def normal(self, eps):
         return np.sqrt(self.Q * self.Q + eps * self.q * self.q)
@@ -154,9 +154,9 @@ class LayerStack:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        for d, medium in self.layers:
+        for i, (d, medium) in enumerate(self.layers):
             if not (d > 0.0 and np.isfinite(d)):
-                raise ValueError(f"layer thickness must be positive and finite, got {d}")
+                raise ValueError(f"layer {i} thickness must be positive and finite, got {d}")
             if not isinstance(medium, DielectricModel):
                 raise TypeError("layer medium must be a DielectricModel")
         if self.substrate != MIRROR and not isinstance(self.substrate, DielectricModel):
@@ -225,10 +225,14 @@ class ReflectionModel:
         """(r_s, r_p) as real float arrays at freq = 1j*xi (rad/s, xi > 0)
         and parallel wavevector Q, point by point (arrays of one shape).
 
-        One ``pair`` call on all points, in the rotated variables; a complex
+        One ``pair`` call on all points, in the rotated variables, which
+        hand ``xi``, checked here once, to each medium's formula; a complex
         result (complex constant amplitudes, an impedance callable) is
         checked to be real.
         """
+        xi = np.asarray(xi, dtype=float)
+        if not np.all(xi > 0.0):
+            raise FrequencyDomainError("xi must be > 0 on the imaginary axis")
         rs, rp = self.pair(_RotatedKinematics(xi, Q))
         if rs.dtype.kind != "c" and rp.dtype.kind != "c":
             return rs, rp

@@ -63,7 +63,13 @@ class ModeFunctions:
         return 2j * kt * np.exp(-1j * kt * self.L) * (1.0 - self.r1 * self.r2 * np.exp(2j * kt * self.L))
 
 
+def _check_gap(L):
+    if not 0.0 < L < np.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
+
+
 def _green(z, zp, k, r1, r2, L, eta):
+    _check_gap(L)
     if not (0.0 <= z <= L and 0.0 <= zp <= L):
         raise ValueError("z and z' must lie inside the gap [0, L]")
     if k <= 0.0:
@@ -106,6 +112,7 @@ def dos(pol, Q, k, r1, r2, L, eta=0.0):
     if pol not in ("s", "p"):
         raise ValueError(f"polarization must be 's' or 'p', got {pol!r}")
     del Q
+    _check_gap(L)
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0.0):
         raise ValueError("k must be > 0")

@@ -492,3 +492,106 @@ sweep: {min: 1.0e-6, points: 1}
 """)
     assert main(["run", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     assert "Im eps must be finite" in capsys.readouterr().err
+
+
+_MIRRORS = "slab1: {type: mirror}\nslab2: {type: mirror}\n"
+_DRUDE = "{model: drude, omega_p: 1.0e16, gamma: 1.0e14}"
+
+
+def _fresnel(material):
+    return f"slab1: {{type: fresnel, material: {material}}}\nslab2: {{type: mirror}}\n"
+
+
+def _stack(layer):
+    return ("slab1: {type: multilayer, layers: [%s], substrate: mirror}\n"
+            "slab2: {type: mirror}\n" % layer)
+
+
+def _oscillator(osc):
+    return _fresnel("{model: drude_lorentz, eps_inf: 1.0, oscillators: [%s]}" % osc)
+
+
+# (command, config text, what stderr must name); one case per reader and per
+# bound, each config malformed in one place only
+_MALFORMED = {
+    "root-not-mapping": ("run", "- 1\n- 2\n", ["<root>"]),
+    "slab-not-mapping": ("run", "slab1: 3\nslab2: {type: mirror}\n", ["slab1"]),
+    "sweep-not-mapping": ("run", _MIRRORS + "sweep: [1]\n", ["sweep"]),
+    "material-not-mapping": ("run", _fresnel("drude"), ["slab1.material"]),
+    "layer-not-mapping": ("run", _stack("3"), ["slab1.layers[0]"]),
+    "oscillator-not-mapping": ("run", _oscillator("1"), ["slab1.material.oscillators[0]"]),
+    "output-not-mapping": ("run", _MIRRORS + "output: csv\n", ["output"]),
+    "layers-not-a-list": ("run", "slab1: {type: multilayer, layers: 3, substrate: mirror}\n"
+                                 "slab2: {type: mirror}\n", ["slab1.layers"]),
+    "no-oscillators": ("run", _fresnel("{model: drude_lorentz, oscillators: []}"),
+                       ["slab1.material.oscillators"]),
+    "unknown-root-key": ("run", _MIRRORS + "swep: {min: 1.0e-6}\n", ["swep"]),
+    "unknown-slab-key": ("run", "slab1: {type: mirror, fudge: 2}\nslab2: {type: mirror}\n",
+                         ["slab1.fudge"]),
+    "key-of-another-type": ("run", "slab1: {type: mirror, rs: 0.5}\nslab2: {type: mirror}\n",
+                            ["slab1.rs"]),
+    "key-of-another-model": ("run", _fresnel("{model: plasma, omega_p: 1.0e16, gamma: 1.0}"),
+                             ["slab1.material.gamma"]),
+    "unknown-dos-key": ("dos", _MIRRORS + "dos: {L: 1.0e-6, kmax: 1.0e7}\n", ["dos.kmax"]),
+    "missing-slab": ("run", "slab1: {type: mirror}\n", ["slab2"]),
+    "missing-type": ("run", "slab1: {rs: 0.5}\nslab2: {type: mirror}\n", ["slab1.type"]),
+    "missing-model-key": ("run", _fresnel("{model: drude, omega_p: 1.0e16}"),
+                          ["slab1.material.gamma"]),
+    "missing-oscillator-key": ("run", _oscillator("{strength: 1.0, omega_0: 1.0e15}"),
+                               ["slab1.material.oscillators[0].gamma"]),
+    "missing-dos-gap": ("dos", _MIRRORS + "dos: {Q: 1.0e6}\n", ["dos.L"]),
+    "non-number": ("run", "slab1: {type: constant, rs: abc, rp: 0.5}\nslab2: {type: mirror}\n",
+                   ["slab1.rs"]),
+    "boolean-number": ("run", _MIRRORS + "sweep: {min: true}\n", ["sweep.min"]),
+    "non-finite-number": ("run", _fresnel("{model: plasma, omega_p: .inf}"),
+                          ["slab1.material.omega_p"]),
+    "bad-type": ("run", "slab1: {type: prism}\nslab2: {type: mirror}\n", ["slab1.type", "prism"]),
+    "bad-model": ("run", _fresnel("{model: unobtainium}"),
+                  ["slab1.material.model", "unobtainium"]),
+    "unhashable-model": ("run", _fresnel("{model: [drude]}"), ["slab1.material.model"]),
+    "bad-spacing": ("run", _MIRRORS + "sweep: {min: 1.0e-7, max: 1.0e-6, points: 2, "
+                                      "spacing: cubic}\n", ["sweep.spacing", "cubic"]),
+    "bad-path": ("run", _MIRRORS + "path: sideways\n", ["path", "sideways"]),
+    "bad-format": ("run", _MIRRORS + "output: {format: xml}\n", ["output.format", "xml"]),
+    "points-out-of-range": ("run", _MIRRORS + "sweep: {min: 1.0e-7, max: 1.0e-6, points: 0}\n",
+                            ["sweep.points"]),
+    "points-string": ("dos", _MIRRORS + "dos: {L: 1.0e-6, points: ten}\n", ["dos.points"]),
+    "subdivisions-string": ("run", _MIRRORS + "quadrature: {max_subdivisions: many}\n",
+                            ["quadrature.max_subdivisions"]),
+    "file-not-a-string": ("run", _fresnel("{model: tabulated, file: 3}"),
+                          ["slab1.material.file"]),
+    "file-missing": ("run", _fresnel("{model: tabulated}"), ["slab1.material.file"]),
+    "output-path-not-a-string": ("run", _MIRRORS + "output: {path: 3}\n", ["output.path"]),
+    "negative-omega_p": ("run", _fresnel("{model: plasma, omega_p: -1.0e16}"),
+                         ["slab1.material", "omega_p"]),
+    "negative-gamma": ("run", _fresnel("{model: drude, omega_p: 1.0e16, gamma: -1.0e14}"),
+                       ["slab1.material", "gamma"]),
+    "negative-omega_0": ("run", _oscillator("{strength: 1.0, omega_0: -1.0e15, gamma: 1.0e13}"),
+                         ["slab1.material", "omega_0"]),
+    "negative-strength": ("run", _oscillator("{strength: -1.0, omega_0: 1.0e15, gamma: 1.0e13}"),
+                          ["slab1.material", "strength"]),
+    "eps_r-below-1": ("run", _fresnel("{model: constant, eps_r: 0.5}"),
+                      ["slab1.material", "eps_r"]),
+    "rtol-out-of-range": ("run", _MIRRORS + "quadrature: {rtol: 0.5}\n", ["quadrature", "rtol"]),
+    "zero-dos-gap": ("dos", _MIRRORS + "dos: {L: 0.0}\n", ["dos.L"]),
+    "negative-thickness": ("run", _stack("{thickness: -2.0e-8, material: %s}" % _DRUDE),
+                           ["slab1", "thickness"]),
+    "negative-sweep-min": ("run", _MIRRORS + "sweep: {min: -1.0e-6}\n", ["sweep.min"]),
+    "sweep-min-past-max": ("run", _MIRRORS + "sweep: {min: 1.0e-6, max: 1.0e-7, points: 3}\n",
+                           ["sweep.min"]),
+    "lifshitz-with-a-mirror": ("run", _fresnel(_DRUDE) + "path: lifshitz\n",
+                               ["path", "lifshitz"]),
+    "negative-k_max": ("dos", _MIRRORS + "dos: {L: 1.0e-6, k_max: -1.0e7}\n", ["dos.k_max"]),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, case):
+    command, text, named = _MALFORMED[case]
+    cfg = _write(tmp_path, text)
+    assert main([command, str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("casimir: config error: ") and "Traceback" not in err
+    for name in named:
+        assert name in err
+    assert not (tmp_path / "o.csv").exists()

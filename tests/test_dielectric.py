@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -36,6 +37,8 @@ def test_frequency_axis_validation():
         Drude(WP, GAMMA).eval(-1e15)
     with pytest.raises(FrequencyDomainError):
         Drude(WP, GAMMA).eval_iw(-1e15)
+    with pytest.raises(FrequencyDomainError):
+        Drude(WP, GAMMA).eval_iw(np.array([1e15, np.nan]))
     with pytest.raises(FrequencyDomainError):
         Drude(WP, GAMMA).eval(0.0)  # Drude diverges at zero frequency
 
@@ -165,6 +168,18 @@ def test_load_optical_table_diagnostics(tmp_path):
 
     with pytest.raises(OpticalTableError, match="not found"):
         load_optical_table(tmp_path / "missing.dat")
+
+    # a ragged table, one data row, and tables with none: refused, with no
+    # warning of numpy's on the way
+    for name, text, match in (("ragged.dat", "1e15 0.5\n2e15 0.25 1.0\n", "columns"),
+                              ("one.dat", "1e15 0.5\n", "at least 2 data rows, got 1"),
+                              ("empty.dat", "", "at least 2 data rows, got 0"),
+                              ("comments.dat", "# omega Im_eps\n\n", "got 0")):
+        (tmp_path / name).write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OpticalTableError, match=match):
+                load_optical_table(tmp_path / name)
 
 
 def _drude_table(n=240):

@@ -247,6 +247,22 @@ def test_imag_axis_rejects_complex_constant():
                                                               np.array([1e6]))
 
 
+@pytest.mark.parametrize("xi", [0.0, -1e15, np.nan], ids=["zero", "negative", "nan"])
+def test_imag_axis_refuses_xi_off_the_positive_axis(xi):
+    # every model, also those whose amplitudes read no permittivity
+    metal = Drude(WP, GAMMA)
+    models = (
+        PerfectMirror(),
+        ConstantReflection(r_s=0.4, r_p=-0.2),
+        FresnelReflection(metal),
+        MultilayerReflection(LayerStack(layers=((2e-8, metal),), substrate=Constant(4.0))),
+        ImpedanceReflection(impedance=lambda pol, Q, freq: np.full(np.shape(freq), 2.0 + 0j)),
+    )
+    for model in models:
+        with pytest.raises(FrequencyDomainError, match="xi must be > 0"):
+            model.imag_axis(np.array([1e15, xi]), np.array([1e6, 1e6]))
+
+
 def test_imag_axis_builds_a_shared_tables_interpolant_once(monkeypatch):
     # the Kramers-Kronig continuation runs only to build the table's
     # interpolant, once per table object, never per point
@@ -404,11 +420,13 @@ def test_no_model_overrides_amplitude():
 
 
 def test_imag_axis_builds_no_complex_kinematics(monkeypatch):
-    # every model's pair runs on the real, rotated kinematics
+    # every model's pair runs on the real, rotated kinematics, which hand
+    # xi, checked once, to each medium's formula
     def refuse(*args, **kwargs):
-        raise AssertionError("imag_axis built a complex WaveKinematics")
+        raise AssertionError("imag_axis built a complex WaveKinematics or checked xi again")
 
     monkeypatch.setattr(reflection.WaveKinematics, "create", refuse)
+    monkeypatch.setattr(reflection.DielectricModel, "eval_iw", refuse)
     omega = np.geomspace(1e13, 1e18, 200)
     gold = Tabulated(OpticalTable(omega=omega, im_eps=Drude(WP, GAMMA).eval(omega).imag))
     metal = Drude(WP, GAMMA)

@@ -135,6 +135,15 @@ def test_input_validation():
         green_electric(-1e-9, 0.5 * L, 0.0, 1e6, 0.0, 0.0, L)
 
 
+@pytest.mark.parametrize("gap", [-1e-6, 0.0, np.nan, np.inf],
+                         ids=["negative", "zero", "nan", "inf"])
+def test_dos_routes_refuse_a_gap_that_is_not_positive_and_finite(gap):
+    for route in (lambda: dos("s", 0.0, 1e6, 0.5, 0.5, gap),
+                  lambda: dos_from_greens(0.0, 1e6, 0.5, 0.5, gap)):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            route()
+
+
 def test_dos_broadcasts_like_its_scalar_form():
     rng = np.random.default_rng(29)
     ks = rng.uniform(1e5, 2e7, 300)
